@@ -7,6 +7,14 @@ sets.  Families are allowed to contain empty sets, so membership at level k
 forces k pairwise disjoint maximum independent sets to exist on any nonempty
 graph; ``is_in_w_generic`` can evaluate the stricter nonempty-family reading
 as well, and surveys record the graphs where the two readings disagree.
+
+Levels are decided by the vertex-deletion characterization of Staples ("On
+some subclasses of well-covered graphs", J. Graph Theory 3, 1979): level 1
+is well-coveredness, and for k >= 2 a graph is a level-k member iff, for
+every vertex v, alpha(G - v) = alpha(G) and G - v is a level-(k-1) member.
+The recursion runs on vertex masks of one adjacency and is memoized on
+(mask, k).  ``is_in_w_generic``, which enumerates disjoint families straight
+from the definition, is the reference oracle the recursion is tested against.
 """
 
 from __future__ import annotations
@@ -65,31 +73,58 @@ def is_one_well_covered(g: Graph) -> bool:
     return all(_wc_scan(adj, full ^ (1 << v))[0] for v in range(g.n))
 
 
-def _w2_fast(g: Graph) -> bool:
-    # stability criterion: deleting any vertex keeps the graph well-covered
-    # with the same independence number
-    adj, full = g.adj, g.full_mask
-    alpha = _alpha(adj, full)
-    for v in range(g.n):
-        wc, size = _wc_scan(adj, full ^ (1 << v))
-        if not wc or size != alpha:
-            return False
-    return True
+def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
+    """Level-k membership of the subgraph induced on ``mask``, by the
+    deletion characterization.
+
+    ``memo`` maps ``(mask, k)`` to membership and a bare mask to its
+    independence number; one memo may serve every level and every submask of
+    one adjacency.
+    """
+    key = (mask, k)
+    member = memo.get(key)
+    if member is not None:
+        return member
+    if k == 1:
+        member, size = _wc_scan(adj, mask)
+        if member:
+            memo[mask] = size  # every maximal set is maximum
+    else:
+        alpha = memo.get(mask)
+        if alpha is None:
+            alpha = memo[mask] = _alpha(adj, mask)
+        member = True
+        for v in iter_bits(mask):
+            sub = mask ^ (1 << v)
+            # a level-(k-1) member has had its alpha memoized on the way
+            if not _in_w_mask(adj, sub, k - 1, memo) or memo[sub] != alpha:
+                member = False
+                break
+    memo[key] = member
+    return member
 
 
 def is_in_w(g: Graph, k: int) -> bool:
-    """Membership at level k of the hierarchy (empty families admitted)."""
+    """Membership at level k of the hierarchy (empty families admitted).
+
+    Decided by the deletion characterization (Staples 1979): for k >= 2, G is
+    a member iff alpha(G - v) = alpha(G) and G - v is a level-(k-1) member for
+    every vertex v; level 1 is well-coveredness.  ``is_in_w_generic`` is the
+    reference oracle.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return is_well_covered(g)
-    if k == 2:
-        return _w2_fast(g)
-    return is_in_w_generic(g, k)
+    return _in_w_mask(g.adj, g.full_mask, k, {})
 
 
 def is_in_w_generic(g: Graph, k: int, nonempty: bool = False) -> bool:
     """Reference level-k membership by enumerating disjoint families.
+
+    This is the definition itself and the oracle for ``is_in_w``, which
+    decides the same question by the deletion characterization (Staples
+    1979); production paths call it only where the definition-level reading
+    is the point (the nonempty-family comparison, and the predicate that
+    cross-checks the level-2 characterizations).
 
     It suffices to test family-maximal tuples (no vertex outside the union can
     join any component): shrinking a component preserves extendability, and
@@ -187,9 +222,10 @@ def _omega_contains(omega: list[int], ind: list[int]) -> dict[int, int]:
 
 def w_level(g: Graph, k_max: int) -> int:
     """Largest k <= k_max with level-k membership (0 when not well-covered)."""
+    memo: dict = {}
     level = 0
     for k in range(1, k_max + 1):
-        if not is_in_w(g, k):
+        if not _in_w_mask(g.adj, g.full_mask, k, memo):
             break
         level = k
     return level

@@ -38,6 +38,7 @@ from .graph import (
 )
 from .harness import (
     GRID_THEOREM_IDS,
+    HUNT_TARGET_IDS,
     HuntTarget,
     SCHEMA_VERSION,
     hunt,
@@ -387,13 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="run a conjecture/problem hunt")
-    p.add_argument("target", choices=(
-        "conjecture.wk-concat",
-        "problem.no-shedding",
-        "problem.two-disjoint-mis-girth5",
-        "problem.w2-alpha2",
-        "problem.alpha-plus-mu",
-    ))
+    p.add_argument("target", choices=HUNT_TARGET_IDS)
     p.add_argument("--max-n", type=int, default=8, help="largest order searched")
     p.add_argument("--k", type=int, default=3, help="hierarchy level of the conjecture source")
     p.add_argument("--base-max-n", type=int, default=3,

@@ -16,6 +16,8 @@ from functools import cached_property
 
 from . import catalog as cat
 from .classify import (
+    SCHEMA_VERSION,
+    _in_w_mask,
     check_wk_monotonicity,
     is_in_w,
     is_in_w_generic,
@@ -61,8 +63,6 @@ from .independence import (
     maximum_matching_size,
 )
 
-SCHEMA_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # verdicts and the per-graph evaluation context
@@ -103,6 +103,8 @@ class GraphContext:
         self.g = g
         self.adj = g.adj
         self.full = g.full_mask
+        # shared by every _in_w_mask call on this graph's vertex masks
+        self.w_memo: dict = {}
 
     @cached_property
     def alpha(self) -> int:
@@ -113,8 +115,14 @@ class GraphContext:
         return _wc_scan(self.adj, self.full)[0]
 
     @cached_property
+    def w_levels(self) -> tuple[bool, ...]:
+        # membership at k = 1..4, each level decided on its own rather than
+        # stopping at the first failure, so thm.wk-chain can see a broken nesting
+        return tuple(_in_w_mask(self.adj, self.full, k, self.w_memo) for k in range(1, 5))
+
+    @cached_property
     def w2(self) -> bool:
-        return is_in_w(self.g, 2)
+        return self.w_levels[1]
 
     @cached_property
     def ind(self) -> list[int]:
@@ -181,16 +189,6 @@ class GraphContext:
             and all(row.bit_count() == 2 for row in self.adj)
             and self.connected
         )
-
-    def w2_submask(self, mask: int) -> bool:
-        # stability criterion applied to the induced subgraph on ``mask``
-        adj = self.adj
-        alpha = _alpha(adj, mask)
-        for v in iter_bits(mask):
-            wc, size = _wc_scan(adj, mask ^ (1 << v))
-            if not wc or size != alpha:
-                return False
-        return True
 
 
 def _wit(**kv):
@@ -305,7 +303,7 @@ def _chk_w2_minus_ns(ctx):
         if s.bit_count() >= ctx.alpha:
             continue
         mask = ctx.full & ~(s | _nbhd(ctx.adj, s))
-        if not ctx.w2_submask(mask):
+        if not _in_w_mask(ctx.adj, mask, 2, ctx.w_memo):
             return False, _wit(independent_set=s)
     return True, None
 
@@ -320,7 +318,7 @@ def _chk_w2_no_leaf(ctx):
 def _chk_w2_minus_nv(ctx):
     for v in range(ctx.g.n):
         mask = ctx.full & ~(ctx.adj[v] | (1 << v))
-        if not ctx.w2_submask(mask):
+        if not _in_w_mask(ctx.adj, mask, 2, ctx.w_memo):
             return False, _wit(vertex=v)
     return True, None
 
@@ -505,7 +503,8 @@ def _chk_w2_five_way(ctx):
         if not c4:
             break
     c5 = all(
-        ctx.w2_submask(full & ~(adj[v] | (1 << v))) for v in range(g.n)
+        _in_w_mask(adj, full & ~(adj[v] | (1 << v)), 2, ctx.w_memo)
+        for v in range(g.n)
     )
     if c1 == c2 == c3 == c4 == c5:
         return True, None
@@ -570,22 +569,20 @@ def _chk_locally_tf_w2(ctx):
     return True, None
 
 
-def _chk_wk_monotonicity(ctx, k_max: int = 3):
-    for k in range(1, k_max + 1):
-        if is_in_w(ctx.g, k):
+def _chk_wk_monotonicity(ctx):
+    for k, member in enumerate(ctx.w_levels[:3], start=1):
+        if member:
             ok, wit = check_wk_monotonicity(ctx.g, k)
             if not ok:
                 return False, _wit(k=k, subset_set=wit[0], superset_set=wit[1])
     return True, None
 
 
-def _chk_wk_chain(ctx, k_max: int = 4):
-    prev = is_in_w(ctx.g, 1)
-    for k in range(2, k_max + 1):
-        cur = is_in_w(ctx.g, k)
-        if cur and not prev:
+def _chk_wk_chain(ctx):
+    levels = ctx.w_levels
+    for k in range(2, len(levels) + 1):
+        if levels[k - 1] and not levels[k - 2]:
             return False, _wit(k=k)
-        prev = cur
     return True, None
 
 
@@ -1351,7 +1348,10 @@ HUNT_TARGET_IDS = (
     "problem.alpha-plus-mu",
 )
 
-HUNT_MAX_N = 10  # canonical deduplication cap
+# Largest order a hunt searches.  The default source generates and holds every
+# graph up to max_n in memory: 12,005,168 graphs of order 10 alone, and about
+# 10^9 of order 11.  Deduplication (catalog.certificate) has no cap of its own.
+HUNT_MAX_N = 10
 
 
 @dataclass(frozen=True)

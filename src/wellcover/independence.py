@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, iter_bits
+from .graph import Graph, _check_mask, iter_bits
 
 DIFFERENTIAL_MAX_N = 24  # exhaustive subset scan cap
 
@@ -431,7 +431,3 @@ def has_k_disjoint_maximum_independent_sets(g: Graph, k: int):
         return True, tuple(chosen)
     return False, None
 
-
-def _check_mask(g: Graph, mask: int):
-    if mask < 0 or mask & ~g.full_mask:
-        raise ValueError(f"vertex set {mask:#x} out of range for n={g.n}")

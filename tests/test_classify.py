@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from wellcover.constructions import concatenate
+from wellcover import catalog as cat
+from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
     complement,
@@ -95,10 +96,36 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             is_in_w(cycle(5), 0)
 
-    def test_fast_path_equals_generic_small(self, catalog_by_n):
-        for n in range(7):
+    def test_deletion_recursion_equals_generic_to_order_eight(self):
+        # every graph of order <= 8 (40,797 pairs with k in 2..4)
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                for k in (2, 3, 4):
+                    assert is_in_w(g, k) == is_in_w_generic(g, k), (g.adj, k)
+
+    def test_w_level_matches_generic_levels(self, catalog_by_n):
+        for n in range(8):
             for g in catalog_by_n[n]:
-                assert is_in_w(g, 2) == is_in_w_generic(g, 2)
+                expected = 0
+                for k in (1, 2, 3, 4):
+                    if not is_in_w_generic(g, k):
+                        break
+                    expected = k
+                assert w_level(g, 4) == expected, g.adj
+
+    def test_levels_at_analyze_sizes(self):
+        # orders 15 and 22, the sizes the analyze command is run on
+        corona = corona_uniform(path(5), complete(2))
+        assert w_level(corona, 3) == 2
+        assert not is_in_w_generic(corona, 3)
+        concat = concatenate(path(3), complete(5), 0)
+        assert concat.n == 15
+        assert w_level(concat, 3) == 3
+        assert is_in_w_generic(concat, 3)
+        # G o K4 sits at level 4 exactly; the generic checker agrees at k = 4
+        # but needs several seconds there
+        assert w_level(concat, 5) == 4
+        assert w_level(cycle(22), 3) == 0
 
     def test_chain_property(self, catalog_by_n):
         for g in catalog_by_n[6]:
