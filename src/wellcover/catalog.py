@@ -11,7 +11,8 @@ that defeat naive permutation schemes.
 Generated catalogs are cached in memory and, optionally, on disk (graph6
 lines) under ``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
 ``WELLCOVER_CACHE_DIR=off`` to disable the disk layer.  Generation is
-deterministic, so the cache is a pure memo.
+deterministic, so the cache is a pure memo; a disk level whose size differs
+from the classical count is regenerated.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .graph import Graph, iter_bits, parse_graph6, write_graph6
 _CACHE_VERSION = 1
 _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
 
-# number of graphs / connected graphs on n vertices, used to sanity-check
-# generation (classical values; OEIS A000088 and A001349)
+# number of graphs / connected graphs on n vertices, used to check generated
+# and loaded levels (classical values; OEIS A000088 and A001349)
 KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080]
 
@@ -155,26 +156,39 @@ def _generate_level(parents: list[tuple[int, ...]], neighborhoods_for) -> list[t
     return [seen[c] for c in sorted(seen)]
 
 
-def _all_graphs_adj(n: int) -> list[tuple[int, ...]]:
-    key = ("all", n)
-    if key in _mem_cache:
-        return _mem_cache[key]
-    cached = _disk_load(key)
-    if cached is not None:
-        _mem_cache[key] = cached
-        return cached
-    if n == 0:
-        level = [()]
-    else:
-        parents = _all_graphs_adj(n - 1)
-        subsets = range(1 << (n - 1))
-        level = _generate_level(parents, lambda padj: subsets)
-    if n < len(KNOWN_GRAPH_COUNTS) and len(level) != KNOWN_GRAPH_COUNTS[n]:
-        raise AssertionError(
-            f"generated {len(level)} graphs on {n} vertices, expected {KNOWN_GRAPH_COUNTS[n]}"
-        )
+def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
+    """Every graph on n vertices (of girth >= ``min_girth`` when that is 3 or
+    more), one per isomorphism class: from memory, else from disk, else
+    generated from level n - 1 and stored.
+
+    A level with a known count is checked on disk load as well as after
+    generation; a disk level of the wrong size is regenerated and rewritten.
+    Girth levels have no known counts, so a damaged girth file goes unnoticed.
+    """
+    key = ("all", n) if min_girth < 3 else ("girth", n, min_girth)
+    level = _mem_cache.get(key)
+    if level is not None:
+        return level
+    expected = None
+    if min_girth < 3 and n < len(KNOWN_GRAPH_COUNTS):
+        expected = KNOWN_GRAPH_COUNTS[n]
+    level = _disk_load(key)
+    if level is None or (expected is not None and len(level) != expected):
+        if n == 0:
+            level = [()]
+        elif min_girth < 3:
+            subsets = range(1 << (n - 1))
+            level = _generate_level(_level_adj(n - 1), lambda padj: subsets)
+        else:
+            level = _generate_level(
+                _level_adj(n - 1, min_girth), lambda padj: _girth_neighborhoods(padj, min_girth)
+            )
+        if expected is not None and len(level) != expected:
+            raise AssertionError(
+                f"generated {len(level)} graphs on {n} vertices, expected {expected}"
+            )
+        _disk_store(key, level)
     _mem_cache[key] = level
-    _disk_store(key, level)
     return level
 
 
@@ -250,29 +264,11 @@ def _girth_neighborhoods(padj: tuple[int, ...], min_girth: int) -> list[int]:
     return out
 
 
-def _girth_graphs_adj(n: int, min_girth: int) -> list[tuple[int, ...]]:
-    key = ("girth", n, min_girth)
-    if key in _mem_cache:
-        return _mem_cache[key]
-    cached = _disk_load(key)
-    if cached is not None:
-        _mem_cache[key] = cached
-        return cached
-    if n == 0:
-        level = [()]
-    else:
-        parents = _girth_graphs_adj(n - 1, min_girth)
-        level = _generate_level(parents, lambda padj: _girth_neighborhoods(padj, min_girth))
-    _mem_cache[key] = level
-    _disk_store(key, level)
-    return level
-
-
 def all_graphs(n: int, connected: bool = False):
     """All graphs on exactly n vertices, one per isomorphism class."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    for adj in _all_graphs_adj(n):
+    for adj in _level_adj(n):
         if connected and not _is_connected_adj(adj):
             continue
         yield Graph._raw(n, adj)
@@ -289,7 +285,7 @@ def graphs_with_girth_at_least(n: int, min_girth: int, connected: bool = False):
     if min_girth < 3:
         yield from all_graphs(n, connected=connected)
         return
-    for adj in _girth_graphs_adj(n, min_girth):
+    for adj in _level_adj(n, min_girth):
         if connected and not _is_connected_adj(adj):
             continue
         yield Graph._raw(n, adj)

@@ -15,15 +15,23 @@ every vertex v, alpha(G - v) = alpha(G) and G - v is a level-(k-1) member.
 The recursion runs on vertex masks of one adjacency and is memoized on
 (mask, k).  ``is_in_w_generic``, which enumerates disjoint families straight
 from the definition, is the reference oracle the recursion is tested against.
+
+``GraphContext`` holds the per-graph invariants (alpha, the maximum
+independent sets, the level memo, the shedding and simplicial vertices, the
+simplex partition, and the report's other fields), each computed on first use
+and then cached.  ``class_report``, ``w_level``, ``is_in_w_generic`` and the
+theorem and hunt drivers accept a context in place of a graph, so one graph's
+invariants are computed once however many of them read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import (
     Graph,
-    closed_neighborhood,
+    is_connected,
     is_triangle_free_mask,
     iter_bits,
     vertices_of,
@@ -32,12 +40,12 @@ from .graph import (
 from .independence import (
     _alpha,
     _independent_sets,
-    _is_independent,
     _iter_maximal_independent,
     _nbhd,
     _wc_scan,
     differential_of_graph,
     has_k_disjoint_maximum_independent_sets,
+    maximum_independent_sets,
     maximum_matching_size,
 )
 
@@ -117,7 +125,7 @@ def is_in_w(g: Graph, k: int) -> bool:
     return _in_w_mask(g.adj, g.full_mask, k, {})
 
 
-def is_in_w_generic(g: Graph, k: int, nonempty: bool = False) -> bool:
+def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> bool:
     """Reference level-k membership by enumerating disjoint families.
 
     This is the definition itself and the oracle for ``is_in_w``, which
@@ -134,12 +142,11 @@ def is_in_w_generic(g: Graph, k: int, nonempty: bool = False) -> bool:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, adj, full = g.n, g.adj, g.full_mask
-    if n == 0:
+    ctx = _context(g)
+    adj, full = ctx.adj, ctx.full
+    if ctx.g.n == 0:
         return True
-    ind = _independent_sets(adj, full)
-    omega = _omega_list(adj, full)
-    contains = _omega_contains(omega, ind)
+    ind, omega, contains = ctx.ind, ctx.omega, ctx.contains
 
     def extend(idx_masks: list[int]) -> bool:
         # pairwise disjoint members of omega, one from each candidate mask
@@ -202,36 +209,20 @@ def is_in_w_generic(g: Graph, k: int, nonempty: bool = False) -> bool:
     return rec_unordered(0, 0)
 
 
-def _omega_list(adj, mask: int) -> list[int]:
-    sets = sorted(_iter_maximal_independent(adj, mask))
-    alpha = max((s.bit_count() for s in sets), default=0)
-    return [s for s in sets if s.bit_count() == alpha]
-
-
-def _omega_contains(omega: list[int], ind: list[int]) -> dict[int, int]:
-    """For each independent set, the bitmask of omega indices containing it."""
-    out: dict[int, int] = {}
-    for a in ind:
-        m = 0
-        for j, s in enumerate(omega):
-            if a & ~s == 0:
-                m |= 1 << j
-        out[a] = m
-    return out
-
-
-def w_level(g: Graph, k_max: int) -> int:
+def w_level(g: Graph | GraphContext, k_max: int) -> int:
     """Largest k <= k_max with level-k membership (0 when not well-covered)."""
-    memo: dict = {}
+    ctx = _context(g)
     level = 0
     for k in range(1, k_max + 1):
-        if not _in_w_mask(g.adj, g.full_mask, k, memo):
+        if not ctx.in_w(k):
             break
         level = k
     return level
 
 
-def w_convention_disagreements(g: Graph, k_max: int, generic_cap: int = 8) -> list[int]:
+def w_convention_disagreements(
+    g: Graph | GraphContext, k_max: int, generic_cap: int = 8
+) -> list[int]:
     """Levels k <= k_max where the empty-family and nonempty-family readings
     of membership disagree.
 
@@ -241,18 +232,19 @@ def w_convention_disagreements(g: Graph, k_max: int, generic_cap: int = 8) -> li
     where the generic checker runs both readings; that comparison is limited
     to n <= ``generic_cap``.
     """
+    ctx = _context(g)
+    n = ctx.g.n
     out = []
-    wc = None
     for k in range(1, k_max + 1):
-        if g.n < k:
-            if not is_in_w(g, k):
+        if n < k:
+            if not ctx.in_w(k):
                 out.append(k)
             continue
-        if wc is None:
-            wc = is_well_covered(g)
-        if not wc or g.n > generic_cap:
+        if not ctx.well_covered or n > generic_cap:
             continue
-        if is_in_w_generic(g, k, nonempty=True) != is_in_w(g, k):
+        # the generic checker gets a context of its own, so a report leaves
+        # the shared context's independent sets and omega unbuilt
+        if is_in_w_generic(ctx.g, k, nonempty=True) != ctx.in_w(k):
             out.append(k)
     return out
 
@@ -407,6 +399,158 @@ def check_wk_monotonicity(g: Graph, k: int):
 
 
 # ---------------------------------------------------------------------------
+# the per-graph context
+# ---------------------------------------------------------------------------
+
+
+class GraphContext:
+    """The invariants of one graph, each computed on first use and cached.
+
+    A field is the value of this package's routine for that invariant, so
+    readers sharing a context share its work and keep their own semantics.
+    The omega index tables (``contains``, ``omega_disjoint``,
+    ``omega_avoiding``) exist only here.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.adj = g.adj
+        self.full = g.full_mask
+        # shared by every _in_w_mask call on this graph's vertex masks
+        self.w_memo: dict = {}
+        self._wk_monotonicity: dict[int, tuple] = {}
+
+    def in_w(self, k: int, mask: int | None = None) -> bool:
+        """Level-k membership of the graph, or of its subgraph on ``mask``."""
+        return _in_w_mask(self.adj, self.full if mask is None else mask, k, self.w_memo)
+
+    def wk_monotonicity(self, k: int):
+        """``check_wk_monotonicity(g, k)``, once per k."""
+        if k not in self._wk_monotonicity:
+            self._wk_monotonicity[k] = check_wk_monotonicity(self.g, k)
+        return self._wk_monotonicity[k]
+
+    @cached_property
+    def alpha(self) -> int:
+        return _alpha(self.adj, self.full)
+
+    @cached_property
+    def well_covered(self) -> bool:
+        return _wc_scan(self.adj, self.full)[0]
+
+    @cached_property
+    def w_levels(self) -> tuple[bool, ...]:
+        # membership at k = 1..4, each level decided on its own rather than
+        # stopping at the first failure, so thm.wk-chain can see a broken nesting
+        return tuple(self.in_w(k) for k in range(1, 5))
+
+    @cached_property
+    def w2(self) -> bool:
+        return self.w_levels[1]
+
+    @cached_property
+    def ind(self) -> list[int]:
+        return _independent_sets(self.adj, self.full)
+
+    @cached_property
+    def omega(self) -> list[int]:
+        return maximum_independent_sets(self.g)
+
+    @cached_property
+    def contains(self) -> dict[int, int]:
+        # independent set -> bitmask of omega indices containing it
+        out = {}
+        for a in self.ind:
+            m = 0
+            for j, s in enumerate(self.omega):
+                if a & ~s == 0:
+                    m |= 1 << j
+            out[a] = m
+        return out
+
+    @cached_property
+    def omega_disjoint(self) -> list[int]:
+        # disj[i] = bitmask of omega indices disjoint from omega[i]
+        out = []
+        for s in self.omega:
+            m = 0
+            for j, t in enumerate(self.omega):
+                if s & t == 0:
+                    m |= 1 << j
+            out.append(m)
+        return out
+
+    @cached_property
+    def omega_avoiding(self) -> list[int]:
+        # avoid[v] = bitmask of omega indices whose set misses vertex v
+        out = []
+        for v in range(self.g.n):
+            m = 0
+            for j, s in enumerate(self.omega):
+                if not s >> v & 1:
+                    m |= 1 << j
+            out.append(m)
+        return out
+
+    @cached_property
+    def shed(self) -> int:
+        return shedding_vertices(self.g)
+
+    @cached_property
+    def simp(self) -> int:
+        return simplicial_vertices(self.g)
+
+    @cached_property
+    def simplex_partition(self):
+        return simplex_partition(self.g)
+
+    @cached_property
+    def mu(self) -> int:
+        return maximum_matching_size(self.g)
+
+    @cached_property
+    def differential(self) -> int:
+        return differential_of_graph(self.g)
+
+    @cached_property
+    def very_well_covered(self) -> bool:
+        return is_very_well_covered(self.g)
+
+    @cached_property
+    def one_well_covered(self) -> bool:
+        return is_one_well_covered(self.g)
+
+    @cached_property
+    def regularizable(self) -> bool:
+        return is_regularizable(self.g)
+
+    @cached_property
+    def locally_triangle_free(self) -> bool:
+        return is_locally_triangle_free(self.g)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    def is_k2(self) -> bool:
+        return self.g.n == 2 and self.adj[0] == 2
+
+    def is_p3(self) -> bool:
+        return self.g.n == 3 and self.g.edge_count() == 2
+
+    def is_cycle_of(self, length: int) -> bool:
+        return (
+            self.g.n == length
+            and all(row.bit_count() == 2 for row in self.adj)
+            and self.connected
+        )
+
+
+def _context(g: Graph | GraphContext) -> GraphContext:
+    return g if isinstance(g, GraphContext) else GraphContext(g)
+
+
+# ---------------------------------------------------------------------------
 # aggregate report
 # ---------------------------------------------------------------------------
 
@@ -464,35 +608,34 @@ class ClassReport:
         }
 
 
-def class_report(g: Graph, k_max: int = 3, convention_check: bool = True) -> ClassReport:
-    """Populate every hierarchy field for one graph."""
+def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
+    """Populate every hierarchy field for one graph, read from its context."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    wl = w_level(g, k_max)
+    ctx = _context(g)
+    wl = w_level(ctx, k_max)
     disjoint_max = 0
     for k in range(1, k_max + 1):
-        if has_k_disjoint_maximum_independent_sets(g, k)[0]:
+        if has_k_disjoint_maximum_independent_sets(ctx.g, k)[0]:
             disjoint_max = k
         else:
             break
     return ClassReport(
-        graph_id=write_graph6(g),
-        n=g.n,
-        alpha=_alpha(g.adj, g.full_mask),
-        mu=maximum_matching_size(g),
-        delta_graph=differential_of_graph(g),
+        graph_id=write_graph6(ctx.g),
+        n=ctx.g.n,
+        alpha=ctx.alpha,
+        mu=ctx.mu,
+        delta_graph=ctx.differential,
         well_covered=wl >= 1,
-        very_well_covered=is_very_well_covered(g),
-        one_well_covered=is_one_well_covered(g),
-        quasi_regularizable=is_quasi_regularizable(g),
-        regularizable=is_regularizable(g),
-        locally_triangle_free=is_locally_triangle_free(g),
+        very_well_covered=ctx.very_well_covered,
+        one_well_covered=ctx.one_well_covered,
+        quasi_regularizable=is_quasi_regularizable(ctx.g),
+        regularizable=ctx.regularizable,
+        locally_triangle_free=ctx.locally_triangle_free,
         w_level=wl,
         k_max=k_max,
-        shed=shedding_vertices(g),
-        simp=simplicial_vertices(g),
+        shed=ctx.shed,
+        simp=ctx.simp,
         disjoint_mis_max=disjoint_max,
-        w_convention_diffs=tuple(
-            w_convention_disagreements(g, k_max) if convention_check else ()
-        ),
+        w_convention_diffs=tuple(w_convention_disagreements(ctx, k_max)),
     )

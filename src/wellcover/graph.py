@@ -15,7 +15,6 @@ from itertools import permutations
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 258047  # largest order encodable by the short forms we emit
-CANONICAL_MAX_N = 10
 
 INFINITE = math.inf  # girth of a forest
 
@@ -459,95 +458,8 @@ def is_triangle_free_mask(g: Graph, mask: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (brute-force tier)
+# brute-force canonical form (test oracle)
 # ---------------------------------------------------------------------------
-
-
-def canonical_form(g: Graph) -> str:
-    """Labeling-invariant key: the lexicographically least graph6 string over
-    all vertex permutations.
-
-    Limited to n <= 10; larger catalogs must arrive pre-canonicalized.  The
-    search is an exact branch-and-bound over placement prefixes with
-    interchangeable-vertex (twin) skipping, so highly symmetric graphs do not
-    degenerate to n! work.
-    """
-    n = g.n
-    if n > CANONICAL_MAX_N:
-        raise ValueError(
-            f"canonical_form supports n <= {CANONICAL_MAX_N}; "
-            "use a pre-canonicalized catalog for larger graphs"
-        )
-    if n <= 1:
-        return write_graph6(g)
-
-    adj = g.adj
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-    all_mask = g.full_mask
-    cols: list[int] = []
-    placed: list[int] = []
-
-    def twins(u: int, v: int) -> bool:
-        clear = ~((1 << u) | (1 << v))
-        return (adj[u] & clear) == (adj[v] & clear)
-
-    def rec(placed_mask: int, tight: bool):
-        # cols[i] is the column of bits written when position i+1 was filled;
-        # lexicographic order on the column sequence equals graph6 string order.
-        nonlocal best_cols, best_perm
-        j = len(placed)
-        if j == n:
-            best_cols = cols.copy()
-            best_perm = placed.copy()
-            return
-        cands = []
-        rem = all_mask & ~placed_mask
-        while rem:
-            b = rem & -rem
-            u = b.bit_length() - 1
-            rem ^= b
-            col = 0
-            row = adj[u]
-            for i, w in enumerate(placed):
-                col |= (row >> w & 1) << (j - 1 - i)
-            cands.append((col, u))
-        cands.sort()
-        tried: list[tuple[int, int]] = []
-        for col, u in cands:
-            if j > 0:
-                if best_cols is not None and tight and col > best_cols[j - 1]:
-                    break
-                child_tight = (
-                    best_cols is not None and tight and col == best_cols[j - 1]
-                )
-            else:
-                # position 0 emits no column; prefixes are trivially equal
-                child_tight = best_cols is not None
-            if any(tc == col and twins(tu, u) for tc, tu in tried):
-                continue
-            tried.append((col, u))
-            placed.append(u)
-            if j > 0:
-                cols.append(col)
-            rec(placed_mask | (1 << u), child_tight)
-            placed.pop()
-            if j > 0:
-                cols.pop()
-            if best_cols is not None and not tight:
-                # the new best runs through this node; resume tight pruning
-                tight = True
-
-    rec(0, False)
-    perm = best_perm
-    pos = [0] * n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    new_adj = [0] * n
-    for i, v in enumerate(perm):
-        for u in iter_bits(adj[v]):
-            new_adj[i] |= 1 << pos[u]
-    return write_graph6(Graph._raw(n, tuple(new_adj)))
 
 
 def brute_force_canonical(g: Graph) -> str:

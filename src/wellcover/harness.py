@@ -12,26 +12,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import catalog as cat
 from .classify import (
     SCHEMA_VERSION,
-    _in_w_mask,
-    check_wk_monotonicity,
+    GraphContext,
+    _context,
+    class_report,
     is_in_w,
     is_in_w_generic,
-    is_locally_triangle_free,
     is_one_well_covered,
-    is_shedding,
     is_simplicial_graph,
-    is_regularizable,
-    is_very_well_covered,
     is_well_covered,
-    class_report,
-    shedding_vertices,
-    simplex_partition,
-    simplicial_vertices,
 )
 from .constructions import CoronaFamily, corona, corona_uniform, concatenate, join
 from .graph import (
@@ -58,14 +50,13 @@ from .independence import (
     _nbhd,
     _wc_scan,
     can_match_into,
-    differential_of_graph,
     has_k_disjoint_maximum_independent_sets,
-    maximum_matching_size,
+    maximum_independent_sets,
 )
 
 
 # ---------------------------------------------------------------------------
-# verdicts and the per-graph evaluation context
+# verdicts
 # ---------------------------------------------------------------------------
 
 
@@ -96,101 +87,6 @@ class TheoremVerdict:
         }
 
 
-class GraphContext:
-    """Lazily shared quantities for the checks run on one graph."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.adj = g.adj
-        self.full = g.full_mask
-        # shared by every _in_w_mask call on this graph's vertex masks
-        self.w_memo: dict = {}
-
-    @cached_property
-    def alpha(self) -> int:
-        return _alpha(self.adj, self.full)
-
-    @cached_property
-    def well_covered(self) -> bool:
-        return _wc_scan(self.adj, self.full)[0]
-
-    @cached_property
-    def w_levels(self) -> tuple[bool, ...]:
-        # membership at k = 1..4, each level decided on its own rather than
-        # stopping at the first failure, so thm.wk-chain can see a broken nesting
-        return tuple(_in_w_mask(self.adj, self.full, k, self.w_memo) for k in range(1, 5))
-
-    @cached_property
-    def w2(self) -> bool:
-        return self.w_levels[1]
-
-    @cached_property
-    def ind(self) -> list[int]:
-        return _independent_sets(self.adj, self.full)
-
-    @cached_property
-    def omega(self) -> list[int]:
-        sets = sorted(_iter_maximal_independent(self.adj, self.full))
-        return [s for s in sets if s.bit_count() == self.alpha]
-
-    @cached_property
-    def contains(self) -> dict[int, int]:
-        # independent set -> bitmask of omega indices containing it
-        out = {}
-        for a in self.ind:
-            m = 0
-            for j, s in enumerate(self.omega):
-                if a & ~s == 0:
-                    m |= 1 << j
-            out[a] = m
-        return out
-
-    @cached_property
-    def omega_disjoint(self) -> list[int]:
-        # disj[i] = bitmask of omega indices disjoint from omega[i]
-        out = []
-        for s in self.omega:
-            m = 0
-            for j, t in enumerate(self.omega):
-                if s & t == 0:
-                    m |= 1 << j
-            out.append(m)
-        return out
-
-    @cached_property
-    def omega_avoiding(self) -> list[int]:
-        # avoid[v] = bitmask of omega indices whose set misses vertex v
-        out = []
-        for v in range(self.g.n):
-            m = 0
-            for j, s in enumerate(self.omega):
-                if not s >> v & 1:
-                    m |= 1 << j
-            out.append(m)
-        return out
-
-    @cached_property
-    def min_degree(self) -> int:
-        return min((row.bit_count() for row in self.adj), default=0)
-
-    @cached_property
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    def is_k2(self) -> bool:
-        return self.g.n == 2 and self.adj[0] == 2
-
-    def is_p3(self) -> bool:
-        return self.g.n == 3 and self.g.edge_count() == 2
-
-    def is_cycle_of(self, length: int) -> bool:
-        return (
-            self.g.n == length
-            and all(row.bit_count() == 2 for row in self.adj)
-            and self.connected
-        )
-
-
 def _wit(**kv):
     out = {}
     for key, value in kv.items():
@@ -217,8 +113,8 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     p1 = not ctx.is_p3() and all(
         _wc_scan(adj, full ^ (1 << v))[0] for v in range(g.n)
     )
-    p2 = is_one_well_covered(g)
-    p3 = is_in_w_generic(g, 2)
+    p2 = ctx.one_well_covered
+    p3 = is_in_w_generic(ctx, 2)
 
     def extends_two_disjointly(a: int) -> bool:
         idxs = vertices_of(contains[a])
@@ -303,7 +199,7 @@ def _chk_w2_minus_ns(ctx):
         if s.bit_count() >= ctx.alpha:
             continue
         mask = ctx.full & ~(s | _nbhd(ctx.adj, s))
-        if not _in_w_mask(ctx.adj, mask, 2, ctx.w_memo):
+        if not ctx.in_w(2, mask):
             return False, _wit(independent_set=s)
     return True, None
 
@@ -318,7 +214,7 @@ def _chk_w2_no_leaf(ctx):
 def _chk_w2_minus_nv(ctx):
     for v in range(ctx.g.n):
         mask = ctx.full & ~(ctx.adj[v] | (1 << v))
-        if not _in_w_mask(ctx.adj, mask, 2, ctx.w_memo):
+        if not ctx.in_w(2, mask):
             return False, _wit(vertex=v)
     return True, None
 
@@ -349,7 +245,7 @@ def _chk_w2_properties(ctx):
             if avoid[u] & avoid[v] == 0:
                 return False, _wit(item="pair_avoided_by_maximum_set", pair=[u, v])
     # (iv) matching bounds
-    mu = maximum_matching_size(g)
+    mu = ctx.mu
     if not (alpha <= mu and alpha + mu <= g.n - 1):
         return False, _wit(item="matching_bounds", alpha=alpha, mu=mu, n=g.n)
     # (v) independence number stable under deleting an independent set
@@ -357,14 +253,14 @@ def _chk_w2_properties(ctx):
         if _alpha(adj, full & ~s) != alpha:
             return False, _wit(item="alpha_stable_minus_independent_set", independent_set=s)
     # (vi) differential monotone over independent sets
-    mono, wit = check_wk_monotonicity(g, 2)
+    mono, wit = ctx.wk_monotonicity(2)
     if not mono:
         return False, _wit(item="differential_monotone", subset_set=wit[0], superset_set=wit[1])
     # (vii) regularizable with strict expansion
     for s in ctx.ind:
         if s and _nbhd(adj, s).bit_count() <= s.bit_count():
             return False, _wit(item="strict_neighborhood_expansion", independent_set=s)
-    if not is_regularizable(g):
+    if not ctx.regularizable:
         return False, _wit(item="regularizable")
     # (viii) independent sets never beat their neighborhood's independence
     for s in ctx.ind:
@@ -393,7 +289,7 @@ def _chk_w2_degree_bound(ctx):
 
 
 def _chk_w2_differential_bound(ctx):
-    d = differential_of_graph(ctx.g)
+    d = ctx.differential
     gap = ctx.g.n - 2 * ctx.alpha
     if d < gap:
         return False, _wit(differential=d, n=ctx.g.n, alpha=ctx.alpha)
@@ -417,8 +313,9 @@ def _chk_shedding_epsilon(ctx):
             _epsilon_mask(adj, sub, a) == _epsilon_mask(adj, full, a)
             for a in _independent_sets(adj, sub)
         )
-        if is_shedding(ctx.g, v) != preserved:
-            return False, _wit(vertex=v, shedding=is_shedding(ctx.g, v))
+        shedding = bool(ctx.shed >> v & 1)
+        if shedding != preserved:
+            return False, _wit(vertex=v, shedding=shedding)
     return True, None
 
 
@@ -426,7 +323,7 @@ def _chk_shedding_wc(ctx):
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
-        if is_shedding(ctx.g, v) != _wc_scan(ctx.adj, ctx.full ^ (1 << v))[0]:
+        if bool(ctx.shed >> v & 1) != _wc_scan(ctx.adj, ctx.full ^ (1 << v))[0]:
             return False, _wit(vertex=v)
     return True, None
 
@@ -446,7 +343,7 @@ def _chk_shedding_four_way(ctx):
             adj[v] & ~(s | _nbhd(adj, s)) == 0
             for s in _independent_sets(adj, outside)
         )
-        cond4 = is_shedding(ctx.g, v)
+        cond4 = bool(ctx.shed >> v & 1)
         if not cond1 == cond2 == cond3 == cond4:
             return False, _wit(
                 vertex=v,
@@ -459,15 +356,15 @@ def _chk_shedding_four_way(ctx):
 
 
 def _chk_simplicial_shed(ctx):
-    shed = shedding_vertices(ctx.g)
-    for v in iter_bits(simplicial_vertices(ctx.g)):
+    shed = ctx.shed
+    for v in iter_bits(ctx.simp):
         if ctx.adj[v] & ~shed:
             return False, _wit(simplicial_vertex=v, shed_set=shed)
     return True, None
 
 
 def _chk_simplicial_delete(ctx):
-    for v in iter_bits(simplicial_vertices(ctx.g)):
+    for v in iter_bits(ctx.simp):
         for u in iter_bits(ctx.adj[v]):
             if not _wc_scan(ctx.adj, ctx.full ^ (1 << u))[0]:
                 return False, _wit(simplicial_vertex=v, deleted=u)
@@ -475,7 +372,7 @@ def _chk_simplicial_delete(ctx):
 
 
 def _chk_simplex_partition(ctx):
-    lhs = simplex_partition(ctx.g) is not None
+    lhs = ctx.simplex_partition is not None
     rhs = is_simplicial_graph(ctx.g) and ctx.well_covered
     if lhs == rhs:
         return True, None
@@ -491,8 +388,8 @@ def _chk_two_simplicial_w2(ctx):
 def _chk_w2_five_way(ctx):
     g, adj, full = ctx.g, ctx.adj, ctx.full
     c1 = ctx.w2
-    c2 = check_wk_monotonicity(g, 2)[0]
-    c3 = shedding_vertices(g) == full
+    c2 = ctx.wk_monotonicity(2)[0]
+    c3 = ctx.shed == full
     c4 = True
     for s in ctx.ind:
         rem = full & ~(s | _nbhd(adj, s))
@@ -502,10 +399,7 @@ def _chk_w2_five_way(ctx):
                 break
         if not c4:
             break
-    c5 = all(
-        _in_w_mask(adj, full & ~(adj[v] | (1 << v)), 2, ctx.w_memo)
-        for v in range(g.n)
-    )
+    c5 = all(ctx.in_w(2, full & ~(adj[v] | (1 << v))) for v in range(g.n))
     if c1 == c2 == c3 == c4 == c5:
         return True, None
     return False, _wit(
@@ -572,7 +466,7 @@ def _chk_locally_tf_w2(ctx):
 def _chk_wk_monotonicity(ctx):
     for k, member in enumerate(ctx.w_levels[:3], start=1):
         if member:
-            ok, wit = check_wk_monotonicity(ctx.g, k)
+            ok, wit = ctx.wk_monotonicity(k)
             if not ok:
                 return False, _wit(k=k, subset_set=wit[0], superset_set=wit[1])
     return True, None
@@ -621,7 +515,7 @@ def _chk_girth6_corona(ctx):
 
 
 def _chk_girth5_corona(ctx):
-    lhs = is_very_well_covered(ctx.g)
+    lhs = ctx.very_well_covered
     rhs = _is_corona_of(ctx.g, complete(1))
     if lhs == rhs:
         return True, None
@@ -662,11 +556,10 @@ def _w2_connected_not_k2(ctx):
 
 
 def _two_simplicial_gate(ctx):
-    parts = simplex_partition(ctx.g)
+    parts = ctx.simplex_partition
     if not _nonempty(ctx) or parts is None:
         return False
-    simp = simplicial_vertices(ctx.g)
-    return all((s & simp).bit_count() >= 2 for s in parts)
+    return all((s & ctx.simp).bit_count() >= 2 for s in parts)
 
 
 def _girth6_gate(ctx):
@@ -695,7 +588,7 @@ def _triangle_free_gate(ctx):
 
 
 def _locally_tf_w2_gate(ctx):
-    return _w2_gate(ctx) and is_locally_triangle_free(ctx.g)
+    return _w2_gate(ctx) and ctx.locally_triangle_free
 
 
 # ---------------------------------------------------------------------------
@@ -934,17 +827,6 @@ def _is_complete_graph(h: Graph) -> bool:
     return h.n >= 1 and h.edge_count() == h.n * (h.n - 1) // 2
 
 
-def _verdict(theorem_id, g, holds, witness, t0) -> TheoremVerdict:
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        graph_id=write_graph6(g),
-        applicable=True,
-        holds=holds,
-        witness=witness if not holds else None,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 def _attachment_families(n: int):
     if n == 0:
         yield ()
@@ -954,27 +836,23 @@ def _attachment_families(n: int):
             yield rest + (name,)
 
 
+# Each grid runner yields (graph, holds, witness) per grid point; run_grid
+# turns them into verdicts and keeps the witness only where the check fails.
+
+
 def _grid_corona_wc(bounds):
-    base_max = bounds.get("base_max_n", 4)
-    out = []
-    for base in cat.graphs_up_to(base_max):
+    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         for names in _attachment_families(base.n):
-            t0 = time.perf_counter()
             fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
             g = corona(fam)
             expected = all(_is_complete_graph(h) for h in fam.attachments)
-            holds = is_well_covered(g) == expected
-            wit = None if holds else {"base": write_graph6(base), "attachments": list(names)}
-            out.append(_verdict("prop.corona-wc", g, holds, wit, t0))
-    return out
+            wit = {"base": write_graph6(base), "attachments": list(names)}
+            yield g, is_well_covered(g) == expected, wit
 
 
 def _grid_corona_w2(bounds):
-    base_max = bounds.get("base_max_n", 4)
-    out = []
-    for base in cat.graphs_up_to(base_max):
+    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         for names in _attachment_families(base.n):
-            t0 = time.perf_counter()
             fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
             g = corona(fam)
             expected = all(
@@ -983,68 +861,46 @@ def _grid_corona_w2(bounds):
                 else _is_complete_graph(h)
                 for v, h in enumerate(fam.attachments)
             )
-            holds = is_in_w(g, 2) == expected
-            wit = None if holds else {"base": write_graph6(base), "attachments": list(names)}
-            out.append(_verdict("prop.corona-w2", g, holds, wit, t0))
-    return out
+            wit = {"base": write_graph6(base), "attachments": list(names)}
+            yield g, is_in_w(g, 2) == expected, wit
 
 
 def _grid_corona_k1wc(bounds):
-    base_max = bounds.get("base_max_n", 4)
-    p_max = bounds.get("p_max", 3)
-    out = []
-    for base in cat.graphs_up_to(base_max):
+    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         if base.edge_count() == 0:
             continue
-        for p in range(1, p_max + 1):
-            t0 = time.perf_counter()
+        for p in range(1, bounds.get("p_max", 3) + 1):
             g = corona_uniform(base, complete(p))
-            holds = is_one_well_covered(g) == (p >= 2)
-            wit = None if holds else {"base": write_graph6(base), "p": p}
-            out.append(_verdict("cor.corona-k1wc", g, holds, wit, t0))
-    return out
+            yield g, is_one_well_covered(g) == (p >= 2), {"base": write_graph6(base), "p": p}
 
 
 def _grid_corona_bipartite_2mis(bounds):
-    h_max = bounds.get("h_max_n", 5)
-    out = []
-    for h in cat.graphs_up_to(h_max):
-        t0 = time.perf_counter()
+    for h in cat.graphs_up_to(bounds.get("h_max_n", 5)):
         g = corona_uniform(h, complete(1))
         holds = has_k_disjoint_maximum_independent_sets(g, 2)[0] == (
             is_bipartite(h) is not None
         )
-        wit = None if holds else {"h": write_graph6(h)}
-        out.append(_verdict("thm.corona-bipartite-2mis", g, holds, wit, t0))
-    return out
+        yield g, holds, {"h": write_graph6(h)}
 
 
 def _grid_join_wc(bounds):
-    part_max = bounds.get("part_max_n", 5)
-    parts = list(cat.graphs_up_to(part_max))
-    out = []
+    parts = list(cat.graphs_up_to(bounds.get("part_max_n", 5)))
     for i, g1 in enumerate(parts):
         for g2 in parts[i:]:
-            t0 = time.perf_counter()
             g = join([g1, g2])
             expected = (
                 is_well_covered(g1)
                 and is_well_covered(g2)
                 and _alpha(g1.adj, g1.full_mask) == _alpha(g2.adj, g2.full_mask)
             )
-            holds = is_well_covered(g) == expected
-            wit = None if holds else {"parts": [write_graph6(g1), write_graph6(g2)]}
-            out.append(_verdict("prop.join-wc", g, holds, wit, t0))
-    return out
+            wit = {"parts": [write_graph6(g1), write_graph6(g2)]}
+            yield g, is_well_covered(g) == expected, wit
 
 
 def _grid_join_w2(bounds):
-    part_max = bounds.get("part_max_n", 5)
-    parts = list(cat.graphs_up_to(part_max))
-    out = []
+    parts = list(cat.graphs_up_to(bounds.get("part_max_n", 5)))
     for i, g1 in enumerate(parts):
         for g2 in parts[i:]:
-            t0 = time.perf_counter()
             g = join([g1, g2])
             # all-complete parts give a complete join, a level-2 member even
             # when a one-vertex part is not; the level-2 criterion on the
@@ -1056,72 +912,53 @@ def _grid_join_w2(bounds):
                 and is_in_w(g2, 2)
                 and _alpha(g1.adj, g1.full_mask) == _alpha(g2.adj, g2.full_mask)
             )
-            holds = is_in_w(g, 2) == expected
-            wit = None if holds else {"parts": [write_graph6(g1), write_graph6(g2)]}
-            out.append(_verdict("prop.join-w2", g, holds, wit, t0))
-    return out
+            wit = {"parts": [write_graph6(g1), write_graph6(g2)]}
+            yield g, is_in_w(g, 2) == expected, wit
 
 
 def _grid_concat_alpha(bounds):
-    base_max = bounds.get("base_max_n", 4)
-    part_max = bounds.get("part_max_n", 5)
-    out = []
-    bases = [b for b in cat.graphs_up_to(base_max, connected=True) if b.n >= 2]
-    parts = [h for h in cat.graphs_up_to(part_max) if h.n >= 2]
+    bases = [
+        b for b in cat.graphs_up_to(bounds.get("base_max_n", 4), connected=True) if b.n >= 2
+    ]
+    parts = [h for h in cat.graphs_up_to(bounds.get("part_max_n", 5)) if h.n >= 2]
     for base in bases:
         for h in parts:
-            omega_h = None
+            omega_h = maximum_independent_sets(h)
+            ah = omega_h[0].bit_count()
             for v in range(h.n):
-                t0 = time.perf_counter()
                 g = concatenate(base, h, v)
-                if omega_h is None:
-                    sets = sorted(_iter_maximal_independent(h.adj, h.full_mask))
-                    ah = max(s.bit_count() for s in sets)
-                    omega_h = [s for s in sets if s.bit_count() == ah]
-                ah = omega_h[0].bit_count()
-                in_all = all(s >> v & 1 for s in omega_h)
-                if in_all:
+                if all(s >> v & 1 for s in omega_h):
                     expected = base.n * (ah - 1) + _alpha(base.adj, base.full_mask)
                 else:
                     expected = base.n * ah
-                holds = _alpha(g.adj, g.full_mask) == expected
-                wit = None if holds else {
+                wit = {
                     "base": write_graph6(base),
                     "h": write_graph6(h),
                     "at": v,
                     "expected": expected,
                 }
-                out.append(_verdict("lem.concat-alpha", g, holds, wit, t0))
-    return out
+                yield g, _alpha(g.adj, g.full_mask) == expected, wit
 
 
 def _grid_concat_hierarchy(bounds):
-    base_max = bounds.get("base_max_n", 3)
-    part_max = bounds.get("part_max_n", 6)
-    out = []
-    bases = list(cat.graphs_up_to(base_max, connected=True))
-    for h in cat.graphs_up_to(part_max):
-        if h.n < 1:
+    bases = list(cat.graphs_up_to(bounds.get("base_max_n", 3), connected=True))
+    for h in cat.graphs_up_to(bounds.get("part_max_n", 6)):
+        if h.n < 1 or not is_in_w(h, 2):
             continue
-        h_w2 = is_in_w(h, 2)
-        h_w3 = is_in_w(h, 3) if h_w2 else False
-        if not h_w2:
-            continue
+        h_w3 = is_in_w(h, 3)
         for v in range(h.n):
             for base in bases:
-                t0 = time.perf_counter()
                 g = concatenate(base, h, v)
                 ok = is_well_covered(g)
                 if ok and h_w3:
                     ok = is_in_w(g, 2)
-                wit = None if ok else {
+                wit = {
                     "base": write_graph6(base),
                     "h": write_graph6(h),
                     "at": v,
                     "h_level": 3 if h_w3 else 2,
                 }
-                out.append(_verdict("thm.concat-hierarchy", g, ok, wit, t0))
-    return out
+                yield g, ok, wit
 
 
 for _id, _summary, _runner in [
@@ -1178,12 +1015,12 @@ GRID_THEOREM_IDS = [t.theorem_id for t in REGISTRY.values() if t.kind == "grid"]
 # ---------------------------------------------------------------------------
 
 
-def run_suite(g: Graph, theorem_ids=None) -> list[TheoremVerdict]:
-    """Evaluate registered per-graph theorems on one graph."""
+def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]:
+    """Evaluate registered per-graph theorems on one graph (or its context)."""
     if theorem_ids is None:
         theorem_ids = GRAPH_THEOREM_IDS
-    ctx = GraphContext(g)
-    graph_id = write_graph6(g)
+    ctx = _context(g)
+    graph_id = write_graph6(ctx.g)
     out = []
     for tid in theorem_ids:
         theorem = REGISTRY.get(tid)
@@ -1214,7 +1051,17 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if theorem.kind != "grid":
         raise ValueError(f"{theorem_id!r} is a per-graph theorem; use run_suite")
-    return theorem.run_grid(bounds or {})
+    out = []
+    t0 = time.perf_counter()
+    for g, holds, witness in theorem.run_grid(bounds or {}):
+        out.append(
+            TheoremVerdict(
+                theorem_id, write_graph6(g), True, holds, None if holds else witness,
+                time.perf_counter() - t0,
+            )
+        )
+        t0 = time.perf_counter()  # the next grid point starts here
+    return out
 
 
 def registry_ids() -> list[str]:
@@ -1249,13 +1096,13 @@ class SurveyReport:
 
 def _survey_one(args) -> dict:
     line_number, text, k_max, run_theorems = args
-    g = parse_graph6(text)
+    ctx = GraphContext(parse_graph6(text))
     record = {
         "line": line_number,
-        "report": class_report(g, k_max).to_json_dict(),
+        "report": class_report(ctx, k_max).to_json_dict(),
     }
     if run_theorems:
-        record["verdicts"] = [v.to_json_dict() for v in run_suite(g)]
+        record["verdicts"] = [v.to_json_dict() for v in run_suite(ctx)]
     return record
 
 
@@ -1462,23 +1309,22 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
         return report
 
     predicate = {
-        "problem.no-shedding": lambda g: is_well_covered(g)
-        and shedding_vertices(g) == 0,
-        "problem.two-disjoint-mis-girth5": lambda g: is_well_covered(g)
-        and girth(g) <= 5
-        and has_k_disjoint_maximum_independent_sets(g, 2)[0],
-        "problem.w2-alpha2": lambda g: is_connected(g)
-        and _alpha(g.adj, g.full_mask) == 2
-        and is_in_w(g, 2),
-        "problem.alpha-plus-mu": lambda g: is_connected(g)
-        and is_in_w(g, 2)
-        and _alpha(g.adj, g.full_mask) + maximum_matching_size(g) == g.n - 1,
+        "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
+        "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
+        and girth(ctx.g) <= 5
+        and has_k_disjoint_maximum_independent_sets(ctx.g, 2)[0],
+        "problem.w2-alpha2": lambda ctx: ctx.connected
+        and ctx.alpha == 2
+        and ctx.in_w(2),
+        "problem.alpha-plus-mu": lambda ctx: ctx.connected
+        and ctx.in_w(2)
+        and ctx.alpha + ctx.mu == ctx.g.n - 1,
     }[target.target_id]
 
     hits = []
     for g in _hunt_source(target, source, connected_only):
         report.checked += 1
-        if g.n >= 1 and predicate(g):
+        if g.n >= 1 and predicate(GraphContext(g)):
             hits.append(g)
     for g in _dedup_canonical(hits):
         report.entries.append(

@@ -169,7 +169,7 @@ def test_criterion_06_order_extremal():
     bipartite_members = []
     for n in range(1, 10):
         full = (1 << n) - 1
-        for adj in cat._all_graphs_adj(n):
+        for adj in cat._level_adj(n):
             if not cat._is_connected_adj(adj):
                 continue
             if not _wc_scan(adj, full)[0]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcover import catalog as cat
-from wellcover.graph import Graph, canonical_form, girth, is_connected
+from wellcover.graph import Graph, brute_force_canonical, girth, is_connected
 
 from conftest import graphs
 
@@ -34,11 +34,13 @@ class TestCertificate:
             same = cat.certificate(g.adj) == cat.certificate(h.adj)
             assert same == nx.is_isomorphic(G, H)
 
-    def test_agreement_with_canonical_form(self, catalog_by_n):
+    def test_agreement_with_brute_force_canonical(self, catalog_by_n):
+        # the brute-force canonical form tries all 720 labelings of each graph
+        keys = {g: brute_force_canonical(g) for g in catalog_by_n[6]}
         for g in catalog_by_n[6]:
             for h in catalog_by_n[6][:20]:
                 assert (cat.certificate(g.adj) == cat.certificate(h.adj)) == (
-                    canonical_form(g) == canonical_form(h)
+                    keys[g] == keys[h]
                 )
 
 
@@ -52,13 +54,14 @@ class TestGeneration:
             assert len(connected_by_n[n]) == cat.KNOWN_CONNECTED_COUNTS[n]
 
     def test_counts_vs_labeled_enumeration(self):
-        # independent oracle: canonicalize every labeled graph on n <= 5
+        # independent oracle: canonicalize every labeled graph on n <= 5 by
+        # trying every permutation
         for n in range(6):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             keys = set()
             for bits in range(1 << len(pairs)):
                 edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-                keys.add(canonical_form(Graph(n, edges)))
+                keys.add(brute_force_canonical(Graph(n, edges)))
             assert len(keys) == cat.KNOWN_GRAPH_COUNTS[n]
 
     def test_catalog_has_no_duplicates(self, catalog_by_n):
@@ -93,10 +96,31 @@ class TestDiskCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         key = ("all", 4)
-        level = cat._all_graphs_adj(4)
+        level = cat._level_adj(4)
         cat._disk_store(key, level)
         loaded = cat._disk_load(key)
         assert loaded == level
+
+    def test_truncated_level_is_regenerated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        key = ("all", 6)
+        cat._level_adj(6)
+        path = cat._cache_path(key)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:100]))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert len(list(cat.all_graphs(6))) == 156
+        assert len(path.read_text().splitlines()) == 156  # rewritten
+
+    def test_valid_level_is_not_rewritten(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        cat._level_adj(6)
+        path = cat._cache_path(("all", 6))
+        stamp = (path.stat().st_ino, path.stat().st_mtime_ns)
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert len(cat._level_adj(6)) == 156
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == stamp
 
     def test_cache_off(self, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")

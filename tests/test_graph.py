@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellcover.catalog import certificate
 from wellcover.graph import (
     Graph,
     Graph6Error,
     brute_force_canonical,
-    canonical_form,
     complement,
     complete,
     complete_bipartite,
@@ -232,31 +232,40 @@ class TestStructure:
 
 
 class TestCanonicalForm:
+    """``catalog.certificate`` is the package's canonical form;
+    ``brute_force_canonical``, which tries every permutation, is its oracle."""
+
     def test_relabelings_agree(self):
         p3a = Graph(3, [(0, 1), (1, 2)])
         p3b = Graph(3, [(1, 0), (0, 2)])
-        assert canonical_form(p3a) == canonical_form(p3b)
-        assert canonical_form(p3a) != canonical_form(complete(3))
+        assert certificate(p3a.adj) == certificate(p3b.adj)
+        assert certificate(p3a.adj) != certificate(complete(3).adj)
 
     def test_all_six_labelings_of_p3(self):
         keys = set()
         for perm in permutations(range(3)):
             g = Graph(3, [(perm[0], perm[1]), (perm[1], perm[2])])
-            keys.add(canonical_form(g))
+            keys.add(certificate(g.adj))
         assert len(keys) == 1
 
     def test_matches_brute_force_exhaustively(self):
-        for n in range(5):
-            for bits in range(1 << (n * (n - 1) // 2)):
-                pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-                edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
-                g = Graph(n, edges)
-                assert canonical_form(g) == brute_force_canonical(g)
+        # on every labeled graph of order <= 5, certificates are equal exactly
+        # when the brute-force canonical forms are
+        for n in range(6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keys = set()
+            for bits in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                keys.add((certificate(g.adj), brute_force_canonical(g)))
+            assert len({c for c, _ in keys}) == len({b for _, b in keys}) == len(keys)
 
-    @given(graphs(max_n=6))
+    @given(graphs(max_n=6), graphs(max_n=6))
     @settings(max_examples=150, deadline=None)
-    def test_matches_brute_force_random(self, g):
-        assert canonical_form(g) == brute_force_canonical(g)
+    def test_matches_brute_force_random(self, g, h):
+        assert certificate(g.adj) == certificate(parse_graph6(brute_force_canonical(g)).adj)
+        assert (certificate(g.adj) == certificate(h.adj)) == (
+            brute_force_canonical(g) == brute_force_canonical(h)
+        )
 
     @given(graphs(max_n=10), st.randoms())
     @settings(max_examples=120, deadline=None)
@@ -264,8 +273,4 @@ class TestCanonicalForm:
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert canonical_form(g) == canonical_form(h)
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="n <= 10"):
-            canonical_form(empty_graph(11))
+        assert certificate(g.adj) == certificate(h.adj)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wellcover import catalog as cat
+from wellcover.classify import class_report
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     complete,
@@ -225,6 +226,33 @@ class TestSurvey:
         assert a.aggregates == b.aggregates
 
 
+def _without_elapsed(doc):
+    if isinstance(doc, dict):
+        return {k: _without_elapsed(v) for k, v in doc.items() if k != "elapsed"}
+    if isinstance(doc, list):
+        return [_without_elapsed(v) for v in doc]
+    return doc
+
+
+class TestSharedContext:
+    def test_shared_equals_fresh_to_order_seven(self, connected_by_n):
+        # class_report then run_suite over one context, as a survey does,
+        # against each over a context of its own
+        for n in range(1, 8):
+            for g in connected_by_n[n]:
+                ctx = GraphContext(g)
+                shared = [class_report(ctx, 3).to_json_dict()]
+                shared += [v.to_json_dict() for v in run_suite(ctx)]
+                fresh = [class_report(GraphContext(g), 3).to_json_dict()]
+                fresh += [v.to_json_dict() for v in run_suite(GraphContext(g))]
+                assert _without_elapsed(shared) == _without_elapsed(fresh), write_graph6(g)
+
+    def test_report_leaves_verify_fields_unbuilt(self):
+        ctx = GraphContext(cycle(22))
+        class_report(ctx, 3)
+        assert "ind" not in ctx.__dict__ and "omega" not in ctx.__dict__
+
+
 class TestHunt:
     def test_no_shedding_contains_c4_c7(self):
         report = hunt(HuntTarget("problem.no-shedding", max_n=7))
@@ -351,7 +379,7 @@ class TestLargeBoundInvariants:
         failures = []
         for n in range(1, 10):
             full = (1 << n) - 1
-            for adj in cat._all_graphs_adj(n):
+            for adj in cat._level_adj(n):
                 if not cat._is_connected_adj(adj):
                     continue
                 g = Graph._raw(n, adj)
