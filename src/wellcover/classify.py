@@ -6,7 +6,10 @@ disjoint independent sets extend to k pairwise disjoint maximum independent
 sets.  Families are allowed to contain empty sets, so membership at level k
 forces k pairwise disjoint maximum independent sets to exist on any nonempty
 graph; ``is_in_w_generic`` can evaluate the stricter nonempty-family reading
-as well, and surveys record the graphs where the two readings disagree.
+as well.  On a nonempty graph the two readings disagree exactly at the levels
+k > n that the graph misses: for k <= n the empty sets of a family are
+replaced by singletons of uncovered vertices, or else the family refines into
+k nonempty parts partitioning V that could extend only if alpha = 1.
 
 Levels are decided by the vertex-deletion characterization of Staples ("On
 some subclasses of well-covered graphs", J. Graph Theory 3, 1979): level 1
@@ -19,9 +22,10 @@ from the definition, is the reference oracle the recursion is tested against.
 ``GraphContext`` holds the per-graph invariants (alpha, the maximum
 independent sets, the level memo, the shedding and simplicial vertices, the
 simplex partition, and the report's other fields), each computed on first use
-and then cached.  ``class_report``, ``w_level``, ``is_in_w_generic`` and the
-theorem and hunt drivers accept a context in place of a graph, so one graph's
-invariants are computed once however many of them read it.
+and then cached; its level memo also answers alpha and well-coveredness of
+every vertex submask.  ``class_report``, ``w_level``, ``is_in_w_generic`` and
+the theorem and hunt drivers accept a context in place of a graph, so one
+graph's invariants are computed once however many of them read it.
 """
 
 from __future__ import annotations
@@ -62,23 +66,28 @@ def is_well_covered(g: Graph) -> bool:
     return _wc_scan(g.adj, g.full_mask)[0]
 
 
-def is_very_well_covered(g: Graph) -> bool:
+def is_very_well_covered(g: Graph | GraphContext) -> bool:
     """Well-covered, no isolated vertices, and exactly 2*alpha vertices."""
-    if any(row == 0 for row in g.adj):
+    ctx = _context(g)
+    if any(row == 0 for row in ctx.adj):
         return False
-    wc, alpha = _wc_scan(g.adj, g.full_mask)
-    return wc and g.n == 2 * alpha
+    return ctx.in_w(1) and ctx.g.n == 2 * ctx.alpha
 
 
-def is_one_well_covered(g: Graph) -> bool:
+def is_one_well_covered(g: Graph | GraphContext) -> bool:
     """Well-covered with >= 2 vertices, staying well-covered after deleting
     any one vertex."""
-    if g.n < 2:
+    ctx = _context(g)
+    if ctx.g.n < 2 or not ctx.in_w(1):
         return False
-    adj, full = g.adj, g.full_mask
-    if not _wc_scan(adj, full)[0]:
-        return False
-    return all(_wc_scan(adj, full ^ (1 << v))[0] for v in range(g.n))
+    return all(ctx.in_w(1, ctx.full ^ (1 << v)) for v in range(ctx.g.n))
+
+
+def _memo_alpha(adj, mask: int, memo: dict) -> int:
+    alpha = memo.get(mask)
+    if alpha is None:
+        alpha = memo[mask] = _alpha(adj, mask)
+    return alpha
 
 
 def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
@@ -98,9 +107,7 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
         if member:
             memo[mask] = size  # every maximal set is maximum
     else:
-        alpha = memo.get(mask)
-        if alpha is None:
-            alpha = memo[mask] = _alpha(adj, mask)
+        alpha = _memo_alpha(adj, mask, memo)
         member = True
         for v in iter_bits(mask):
             sub = mask ^ (1 << v)
@@ -130,9 +137,8 @@ def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> 
 
     This is the definition itself and the oracle for ``is_in_w``, which
     decides the same question by the deletion characterization (Staples
-    1979); production paths call it only where the definition-level reading
-    is the point (the nonempty-family comparison, and the predicate that
-    cross-checks the level-2 characterizations).
+    1979); production calls it only where the definition-level reading is
+    the point: the predicate that cross-checks the level-2 characterizations.
 
     It suffices to test family-maximal tuples (no vertex outside the union can
     join any component): shrinking a component preserves extendability, and
@@ -220,33 +226,12 @@ def w_level(g: Graph | GraphContext, k_max: int) -> int:
     return level
 
 
-def w_convention_disagreements(
-    g: Graph | GraphContext, k_max: int, generic_cap: int = 8
-) -> list[int]:
+def w_convention_disagreements(g: Graph | GraphContext, k_max: int) -> list[int]:
     """Levels k <= k_max where the empty-family and nonempty-family readings
-    of membership disagree.
-
-    A nonempty family of k disjoint sets exists iff n >= k (take singletons),
-    so for n < k the nonempty reading is vacuously true and the comparison is
-    free.  For n >= k disagreements can only occur on well-covered graphs,
-    where the generic checker runs both readings; that comparison is limited
-    to n <= ``generic_cap``.
-    """
+    of membership disagree: exactly the levels k > n that the graph misses
+    (the module docstring gives the proof)."""
     ctx = _context(g)
-    n = ctx.g.n
-    out = []
-    for k in range(1, k_max + 1):
-        if n < k:
-            if not ctx.in_w(k):
-                out.append(k)
-            continue
-        if not ctx.well_covered or n > generic_cap:
-            continue
-        # the generic checker gets a context of its own, so a report leaves
-        # the shared context's independent sets and omega unbuilt
-        if is_in_w_generic(ctx.g, k, nonempty=True) != ctx.in_w(k):
-            out.append(k)
-    return out
+    return [k for k in range(ctx.g.n + 1, k_max + 1) if not ctx.in_w(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +362,14 @@ def is_locally_triangle_free(g: Graph) -> bool:
     )
 
 
-def check_wk_monotonicity(g: Graph, k: int):
+def check_wk_monotonicity(g: Graph | GraphContext, k: int):
     """Whether |N(A)| - (k-1)|A| <= |N(B)| - (k-1)|B| for every independent
     B and every A <= B.  Returns (holds, witness pair or None)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj, full = g.adj, g.full_mask
-    for b_set in _independent_sets(adj, full):
+    ctx = _context(g)
+    adj = ctx.adj
+    for b_set in ctx.ind:
         nb_b = _nbhd(adj, b_set)
         rhs = nb_b.bit_count() - (k - 1) * b_set.bit_count()
         # scan subsets of b_set
@@ -424,19 +410,24 @@ class GraphContext:
         """Level-k membership of the graph, or of its subgraph on ``mask``."""
         return _in_w_mask(self.adj, self.full if mask is None else mask, k, self.w_memo)
 
+    def alpha_of(self, mask: int) -> int:
+        """Independence number of the subgraph on ``mask``, kept in the same
+        memo where ``in_w`` records it."""
+        return _memo_alpha(self.adj, mask, self.w_memo)
+
     def wk_monotonicity(self, k: int):
         """``check_wk_monotonicity(g, k)``, once per k."""
         if k not in self._wk_monotonicity:
-            self._wk_monotonicity[k] = check_wk_monotonicity(self.g, k)
+            self._wk_monotonicity[k] = check_wk_monotonicity(self, k)
         return self._wk_monotonicity[k]
 
-    @cached_property
+    @property
     def alpha(self) -> int:
-        return _alpha(self.adj, self.full)
+        return self.alpha_of(self.full)
 
-    @cached_property
+    @property
     def well_covered(self) -> bool:
-        return _wc_scan(self.adj, self.full)[0]
+        return self.in_w(1)
 
     @cached_property
     def w_levels(self) -> tuple[bool, ...]:
@@ -514,11 +505,11 @@ class GraphContext:
 
     @cached_property
     def very_well_covered(self) -> bool:
-        return is_very_well_covered(self.g)
+        return is_very_well_covered(self)
 
     @cached_property
     def one_well_covered(self) -> bool:
-        return is_one_well_covered(self.g)
+        return is_one_well_covered(self)
 
     @cached_property
     def regularizable(self) -> bool:

@@ -345,27 +345,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_source=False):
-        p.add_argument("--input", "-i", help="graph6 file, or - for stdin")
+    # each flag is registered only on the subcommands that read it
+    def common(p):
         p.add_argument("--output", "-o", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "table"), default="table")
+
+    def kmax(p):
         p.add_argument("--kmax", type=int, default=3, help="largest hierarchy level probed")
+
+    def stream(p):
+        p.add_argument(
+            "source",
+            nargs="?",
+            help="graph6 file, '-', or a stream spec such as cycles:3..12 "
+            "or catalog:connected:1..7",
+        )
+        p.add_argument("--input", "-i", help="graph6 file, or - for stdin")
+        p.add_argument("--connected", action="store_true",
+                       help="skip disconnected input graphs")
+
+    def survey_flags(p):
+        common(p)
+        stream(p)
+        kmax(p)
         p.add_argument("--strict", action="store_true", help="promote parse errors to fatal")
         p.add_argument("--jobs", type=int, default=None,
                        help="parallel workers (default $WELLCOVER_JOBS or 1)")
-        if with_source:
-            p.add_argument(
-                "source",
-                nargs="?",
-                help="graph6 file, '-', or a stream spec such as cycles:3..12 "
-                "or catalog:connected:1..7",
-            )
-            p.add_argument("--connected", action="store_true",
-                           help="skip disconnected input graphs")
 
     p = sub.add_parser("analyze", help="full hierarchy report for one graph")
     p.add_argument("graph", help="graph6 string or generator spec (cycle:7, biclique:2x3, ...)")
     common(p)
+    kmax(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="build corona / join / concatenation graphs")
@@ -378,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("survey", help="classify every graph of a stream")
-    common(p, with_source=True)
+    survey_flags(p)
     p.set_defaults(func=cmd_survey, include_grids=False)
 
     p = sub.add_parser("verify", help="run every registered theorem over a stream")
-    common(p, with_source=True)
+    survey_flags(p)
     p.add_argument("--include-grids", action="store_true",
                    help="also run the construction-grid theorems at default bounds")
     p.set_defaults(func=cmd_verify)
@@ -393,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="hierarchy level of the conjecture source")
     p.add_argument("--base-max-n", type=int, default=3,
                    help="largest base order for the concatenation conjecture")
-    common(p, with_source=True)
+    common(p)
+    stream(p)
     p.set_defaults(func=cmd_hunt)
 
     return parser

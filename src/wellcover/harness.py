@@ -45,10 +45,8 @@ from .graph import (
 )
 from .independence import (
     _alpha,
-    _independent_sets,
     _iter_maximal_independent,
     _nbhd,
-    _wc_scan,
     can_match_into,
     has_k_disjoint_maximum_independent_sets,
     maximum_independent_sets,
@@ -107,12 +105,10 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     g, adj, full = ctx.g, ctx.adj, ctx.full
     alpha = ctx.alpha
     omega, contains = ctx.omega, ctx.contains
-    disj, avoid = ctx.omega_disjoint, ctx.omega_avoiding
+    avoid = ctx.omega_avoiding
     non_max = [a for a in ctx.ind if a.bit_count() < alpha]
 
-    p1 = not ctx.is_p3() and all(
-        _wc_scan(adj, full ^ (1 << v))[0] for v in range(g.n)
-    )
+    p1 = not ctx.is_p3() and all(ctx.in_w(1, full ^ (1 << v)) for v in range(g.n))
     p2 = ctx.one_well_covered
     p3 = is_in_w_generic(ctx, 2)
 
@@ -180,7 +176,7 @@ def _chk_alpha_stability(ctx):
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
-        sub_alpha = _alpha(ctx.adj, ctx.full ^ (1 << v))
+        sub_alpha = ctx.alpha_of(ctx.full ^ (1 << v))
         if sub_alpha != ctx.alpha:
             return False, _wit(vertex=v, alpha=ctx.alpha, alpha_minus_v=sub_alpha)
     return True, None
@@ -250,7 +246,7 @@ def _chk_w2_properties(ctx):
         return False, _wit(item="matching_bounds", alpha=alpha, mu=mu, n=g.n)
     # (v) independence number stable under deleting an independent set
     for s in ctx.ind:
-        if _alpha(adj, full & ~s) != alpha:
+        if ctx.alpha_of(full & ~s) != alpha:
             return False, _wit(item="alpha_stable_minus_independent_set", independent_set=s)
     # (vi) differential monotone over independent sets
     mono, wit = ctx.wk_monotonicity(2)
@@ -264,7 +260,7 @@ def _chk_w2_properties(ctx):
         return False, _wit(item="regularizable")
     # (viii) independent sets never beat their neighborhood's independence
     for s in ctx.ind:
-        if s.bit_count() > _alpha(adj, _nbhd(adj, s)):
+        if s.bit_count() > ctx.alpha_of(_nbhd(adj, s)):
             return False, _wit(item="bounded_by_neighborhood_alpha", independent_set=s)
     # (ix) every independent set is matched into an independent set
     for s in ctx.ind:
@@ -300,18 +296,19 @@ def _chk_w2_differential_bound(ctx):
     return True, None
 
 
-def _epsilon_mask(adj, universe: int, a: int) -> int:
-    closed = _nbhd(adj, a) | a
-    return a.bit_count() + _alpha(adj, universe & ~closed)
+def _epsilon_mask(ctx, universe: int, a: int) -> int:
+    closed = _nbhd(ctx.adj, a) | a
+    return a.bit_count() + ctx.alpha_of(universe & ~closed)
 
 
 def _chk_shedding_epsilon(ctx):
-    adj, full = ctx.adj, ctx.full
+    full = ctx.full
     for v in range(ctx.g.n):
         sub = full ^ (1 << v)
         preserved = all(
-            _epsilon_mask(adj, sub, a) == _epsilon_mask(adj, full, a)
-            for a in _independent_sets(adj, sub)
+            _epsilon_mask(ctx, sub, a) == _epsilon_mask(ctx, full, a)
+            for a in ctx.ind
+            if not a >> v & 1
         )
         shedding = bool(ctx.shed >> v & 1)
         if shedding != preserved:
@@ -323,7 +320,7 @@ def _chk_shedding_wc(ctx):
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
-        if bool(ctx.shed >> v & 1) != _wc_scan(ctx.adj, ctx.full ^ (1 << v))[0]:
+        if bool(ctx.shed >> v & 1) != ctx.in_w(1, ctx.full ^ (1 << v)):
             return False, _wit(vertex=v)
     return True, None
 
@@ -334,15 +331,11 @@ def _chk_shedding_four_way(ctx):
         nv = adj[v]
         if nv == 0:
             continue
-        outside = full & ~(nv | (1 << v))
-        cond1 = _wc_scan(adj, full ^ (1 << v))[0]
-        cond2 = all(
-            nv & ~_nbhd(adj, s) for s in _independent_sets(adj, outside)
-        )
-        cond3 = not any(
-            adj[v] & ~(s | _nbhd(adj, s)) == 0
-            for s in _independent_sets(adj, outside)
-        )
+        inside = nv | (1 << v)
+        outside_sets = [s for s in ctx.ind if not s & inside]
+        cond1 = ctx.in_w(1, full ^ (1 << v))
+        cond2 = all(nv & ~_nbhd(adj, s) for s in outside_sets)
+        cond3 = not any(nv & ~(s | _nbhd(adj, s)) == 0 for s in outside_sets)
         cond4 = bool(ctx.shed >> v & 1)
         if not cond1 == cond2 == cond3 == cond4:
             return False, _wit(
@@ -366,7 +359,7 @@ def _chk_simplicial_shed(ctx):
 def _chk_simplicial_delete(ctx):
     for v in iter_bits(ctx.simp):
         for u in iter_bits(ctx.adj[v]):
-            if not _wc_scan(ctx.adj, ctx.full ^ (1 << u))[0]:
+            if not ctx.in_w(1, ctx.full ^ (1 << u)):
                 return False, _wit(simplicial_vertex=v, deleted=u)
     return True, None
 
@@ -427,8 +420,7 @@ def _chk_gab_criterion(ctx):
     cond = True
     for a, b in g.edges():
         mask = full & ~(adj[a] | adj[b])
-        wc, size = _wc_scan(adj, mask)
-        if not wc or size != ctx.alpha - 1:
+        if not (ctx.in_w(1, mask) and ctx.alpha_of(mask) == ctx.alpha - 1):
             cond = False
             break
     if ctx.w2 == cond:
@@ -1062,10 +1054,6 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
         )
         t0 = time.perf_counter()  # the next grid point starts here
     return out
-
-
-def registry_ids() -> list[str]:
-    return list(REGISTRY)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from wellcover.graph import (
 )
 from wellcover.classify import (
     ClassReport,
+    GraphContext,
     check_wk_monotonicity,
     class_report,
     is_in_w,
@@ -35,7 +36,7 @@ from wellcover.classify import (
     w_convention_disagreements,
     w_level,
 )
-from wellcover.independence import is_independent
+from wellcover.independence import _alpha, _wc_scan, is_independent
 
 from conftest import graphs
 
@@ -364,24 +365,35 @@ class TestHierarchyOracle:
                 assert is_in_w_generic(g, k) == expected
 
 
-class TestConventionRecording:
-    def test_matches_direct_computation(self, catalog_by_n):
-        # the recorded disagreement levels equal the unshortcut comparison,
-        # and for n >= k the readings differ only on well-covered graphs
+class TestContextMemo:
+    def test_memo_matches_kernels_to_order_six(self, catalog_by_n):
+        # after the level recursion has filled the memo, every alpha and
+        # level-1 answer read from it equals a fresh kernel call
         for n in range(7):
             for g in catalog_by_n[n]:
-                direct = [
-                    k
-                    for k in (1, 2, 3)
-                    if (g.n < k and not is_in_w(g, k))
-                    or (
-                        g.n >= k
-                        and is_in_w_generic(g, k, nonempty=True) != is_in_w(g, k)
-                    )
-                ]
-                assert direct == w_convention_disagreements(g, 3)
-                for k in direct:
-                    assert g.n < k or is_well_covered(g)
+                ctx = GraphContext(g)
+                ctx.w_levels
+                for m in range(1 << n):
+                    assert ctx.alpha_of(m) == _alpha(g.adj, m)
+                    assert ctx.in_w(1, m) == _wc_scan(g.adj, m)[0]
+
+
+class TestConventionRecording:
+    def test_matches_direct_computation(self, catalog_by_n):
+        # the recorded disagreement levels (the closed form: levels k > n the
+        # graph misses) equal the unshortcut comparison of the two readings,
+        # on every graph of order <= 7 and every well-covered one of order 8
+        graphs = [g for n in range(8) for g in catalog_by_n[n]]
+        graphs += [g for g in cat.all_graphs(8) if is_well_covered(g)]
+        for g in graphs:
+            ctx = GraphContext(g)
+            direct = [
+                k
+                for k in range(1, 9)
+                if is_in_w_generic(ctx, k, nonempty=True) != is_in_w(g, k)
+            ]
+            assert direct == w_convention_disagreements(g, 8)
+            assert all(k > g.n for k in direct)
 
 
 class TestUnionFamilies:

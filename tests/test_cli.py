@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wellcover import cli
 from wellcover.graph import parse_graph6, write_graph6, cycle
 from wellcover.harness import REGISTRY, Theorem
@@ -216,6 +218,12 @@ class TestHunt:
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "hunt", "problem.no-shedding", "--max-n", "99")
         assert code == 2
+
+    def test_unread_flag_exits_2(self):
+        # hunt runs serially, so --jobs is not one of its flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hunt", "problem.no-shedding", "--max-n", "5", "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 class TestJobsEnv:
