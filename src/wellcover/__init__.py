@@ -1,78 +1,20 @@
-"""Toolkit for the well-coveredness hierarchy of finite graphs."""
+"""Toolkit for the well-coveredness hierarchy of finite graphs.
+
+The package exports the names in the README's Library section; everything
+else is imported from its submodule.
+"""
 
 from .graph import (
     Graph,
     Graph6Error,
-    complement,
     complete,
-    complete_bipartite,
-    closed_neighborhood,
-    components,
     cycle,
-    delete_vertex,
-    delete_vertices,
-    disjoint_union,
-    empty_graph,
-    g_ab,
-    girth,
-    induced,
-    is_bipartite,
-    is_connected,
-    iter_bits,
     mask_of,
-    max_degree,
-    neighborhood,
     parse_graph6,
-    path,
     vertices_of,
-    write_graph6,
-    INFINITE,
 )
-from .independence import (
-    IndependenceProfile,
-    can_match_into,
-    differential_of_graph,
-    differential_of_set,
-    epsilon,
-    has_k_disjoint_maximum_independent_sets,
-    independence_number,
-    is_independent,
-    maximal_independent_sets,
-    maximum_independent_sets,
-    maximum_matching_size,
-    profile,
-)
-from .classify import (
-    ClassReport,
-    check_wk_monotonicity,
-    class_report,
-    is_in_w,
-    is_in_w_generic,
-    is_locally_triangle_free,
-    is_one_well_covered,
-    is_quasi_regularizable,
-    is_regularizable,
-    is_shedding,
-    is_simplicial_graph,
-    is_very_well_covered,
-    is_well_covered,
-    shedding_vertices,
-    simplex_partition,
-    simplicial_vertices,
-    w_level,
-)
-from .constructions import CoronaFamily, concatenate, corona, corona_uniform, join
-from .harness import (
-    HuntReport,
-    HuntTarget,
-    SurveyReport,
-    Theorem,
-    TheoremVerdict,
-    REGISTRY,
-    hunt,
-    run_grid,
-    run_suite,
-    survey_catalog,
-)
+from .classify import class_report, is_in_w, is_well_covered, shedding_vertices
+from .constructions import concatenate, corona_uniform
+from .harness import HuntTarget, hunt, run_suite, survey_catalog
 
 __version__ = "0.1.0"

@@ -21,11 +21,13 @@ from the definition, is the reference oracle the recursion is tested against.
 
 ``GraphContext`` holds the per-graph invariants (alpha, the maximum
 independent sets, the level memo, the shedding and simplicial vertices, the
-simplex partition, and the report's other fields), each computed on first use
-and then cached; its level memo also answers alpha and well-coveredness of
-every vertex submask.  ``class_report``, ``w_level``, ``is_in_w_generic`` and
-the theorem and hunt drivers accept a context in place of a graph, so one
-graph's invariants are computed once however many of them read it.
+simplex partition, the girth, and the report's other fields), each computed on
+first use and then cached; its level memo also answers alpha and
+well-coveredness of every vertex submask, and disjoint maximum independent
+sets are packed from its cached list of them.  ``class_report``, ``w_level``,
+``is_in_w_generic`` and the theorem and hunt drivers accept a context in place
+of a graph, so one graph's invariants are computed once however many of them
+read it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import cached_property
 
 from .graph import (
     Graph,
+    girth,
     is_connected,
     is_triangle_free_mask,
     iter_bits,
@@ -46,9 +49,9 @@ from .independence import (
     _independent_sets,
     _iter_maximal_independent,
     _nbhd,
+    _omega_packing,
     _wc_scan,
     differential_of_graph,
-    has_k_disjoint_maximum_independent_sets,
     maximum_independent_sets,
     maximum_matching_size,
 )
@@ -447,6 +450,13 @@ class GraphContext:
     def omega(self) -> list[int]:
         return maximum_independent_sets(self.g)
 
+    def disjoint_mis_max(self, k: int) -> int:
+        """The most pairwise disjoint members of omega, counted up to k; k on
+        the empty graph, as for ``has_k_disjoint_maximum_independent_sets``."""
+        if self.g.n == 0:
+            return k
+        return len(_omega_packing(self.omega, k))
+
     @cached_property
     def contains(self) -> dict[int, int]:
         # independent set -> bitmask of omega indices containing it
@@ -522,6 +532,10 @@ class GraphContext:
     @cached_property
     def connected(self) -> bool:
         return is_connected(self.g)
+
+    @cached_property
+    def girth(self):
+        return girth(self.g)
 
     def is_k2(self) -> bool:
         return self.g.n == 2 and self.adj[0] == 2
@@ -605,12 +619,6 @@ def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
         raise ValueError("k_max must be >= 1")
     ctx = _context(g)
     wl = w_level(ctx, k_max)
-    disjoint_max = 0
-    for k in range(1, k_max + 1):
-        if has_k_disjoint_maximum_independent_sets(ctx.g, k)[0]:
-            disjoint_max = k
-        else:
-            break
     return ClassReport(
         graph_id=write_graph6(ctx.g),
         n=ctx.g.n,
@@ -627,6 +635,6 @@ def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
         k_max=k_max,
         shed=ctx.shed,
         simp=ctx.simp,
-        disjoint_mis_max=disjoint_max,
+        disjoint_mis_max=ctx.disjoint_mis_max(k_max),
         w_convention_diffs=tuple(w_convention_disagreements(ctx, k_max)),
     )

@@ -11,7 +11,6 @@ beyond that.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 258047  # largest order encodable by the short forms we emit
@@ -455,23 +454,3 @@ def is_triangle_free_mask(g: Graph, mask: int) -> bool:
             if adj[u] & adj[v] & mask:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# brute-force canonical form (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_canonical(g: Graph) -> str:
-    """Reference canonicalization by trying every permutation (test oracle)."""
-    n = g.n
-    best = None
-    for perm in permutations(range(n)):
-        adj = [0] * n
-        for v in range(n):
-            for u in iter_bits(g.adj[v]):
-                adj[perm[v]] |= 1 << perm[u]
-        s = write_graph6(Graph._raw(n, tuple(adj)))
-        if best is None or s < best:
-            best = s
-    return best if best is not None else write_graph6(g)

@@ -33,10 +33,10 @@ from .graph import (
     complete,
     components,
     empty_graph,
-    girth,
     has_four_cycle,
     is_bipartite,
     is_connected,
+    is_triangle_free_mask,
     iter_bits,
     parse_graph6,
     path,
@@ -558,14 +558,14 @@ def _girth6_gate(ctx):
     return (
         _nonempty(ctx)
         and ctx.connected
-        and girth(ctx.g) >= 6
+        and ctx.girth >= 6
         and not ctx.is_cycle_of(7)
         and ctx.g.n != 1
     )
 
 
 def _girth5_gate(ctx):
-    return _nonempty(ctx) and ctx.connected and girth(ctx.g) >= 5
+    return _nonempty(ctx) and ctx.connected and ctx.girth >= 5
 
 
 def _hartnell_gate(ctx):
@@ -573,10 +573,7 @@ def _hartnell_gate(ctx):
 
 
 def _triangle_free_gate(ctx):
-    if not _no_isolated(ctx):
-        return False
-    adj = ctx.adj
-    return all(adj[u] & adj[v] == 0 for u, v in ctx.g.edges())
+    return _no_isolated(ctx) and is_triangle_free_mask(ctx.g, ctx.full)
 
 
 def _locally_tf_w2_gate(ctx):
@@ -1299,8 +1296,8 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
     predicate = {
         "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
         "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
-        and girth(ctx.g) <= 5
-        and has_k_disjoint_maximum_independent_sets(ctx.g, 2)[0],
+        and ctx.girth <= 5
+        and ctx.disjoint_mis_max(2) == 2,
         "problem.w2-alpha2": lambda ctx: ctx.connected
         and ctx.alpha == 2
         and ctx.in_w(2),

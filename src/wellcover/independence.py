@@ -9,8 +9,6 @@ pairs so subgraph quantities never pay for relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, _check_mask, iter_bits
 
 DIFFERENTIAL_MAX_N = 24  # exhaustive subset scan cap
@@ -166,24 +164,6 @@ def _is_independent(adj, mask: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndependenceProfile:
-    """Summary of the independent-set structure of one graph."""
-
-    alpha: int
-    maximal_sizes: tuple[int, ...]  # sorted multiset
-    omega: tuple[int, ...]          # all maximum independent sets, ascending
-    maximal_count: int
-
-    def __post_init__(self):
-        if self.maximal_sizes and self.alpha != max(self.maximal_sizes):
-            raise ValueError("alpha must equal the largest maximal size")
-        if not self.omega:
-            raise ValueError("omega must be nonempty (the empty graph has omega={0})")
-        if any(s.bit_count() != self.alpha for s in self.omega):
-            raise ValueError("every member of omega must have cardinality alpha")
-
-
 def maximal_independent_sets(g: Graph) -> list[int]:
     """Inclusion-maximal independent sets, each once, ascending as bitmasks."""
     return sorted(_iter_maximal_independent(g.adj, g.full_mask))
@@ -197,14 +177,6 @@ def maximum_independent_sets(g: Graph) -> list[int]:
     sets = maximal_independent_sets(g)
     alpha = max((s.bit_count() for s in sets), default=0)
     return [s for s in sets if s.bit_count() == alpha]
-
-
-def profile(g: Graph) -> IndependenceProfile:
-    sets = maximal_independent_sets(g)
-    sizes = tuple(sorted(s.bit_count() for s in sets))
-    alpha = sizes[-1] if sizes else 0
-    omega = tuple(s for s in sets if s.bit_count() == alpha)
-    return IndependenceProfile(alpha, sizes, omega, len(sets))
 
 
 def is_independent(g: Graph, s_mask: int) -> bool:
@@ -373,30 +345,33 @@ def maximum_matching_size(g: Graph) -> int:
     return size
 
 
-def matching_size_brute_force(g: Graph) -> int:
-    """Reference value by scanning every subset of the edge set (test oracle)."""
-    edges = g.edges()
-    if len(edges) > 20:
-        raise ValueError("edge-subset scan is capped at 20 edges")
-    pair_masks = [(1 << u) | (1 << v) for u, v in edges]
-    best = 0
-    for sub in range(1 << len(edges)):
-        used = 0
-        size = 0
-        ok = True
-        m = sub
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            m ^= b
-            pm = pair_masks[i]
-            if used & pm:
-                ok = False
-                break
-            used |= pm
-            size += 1
-        if ok and size > best:
-            best = size
+def _omega_packing(omega: list[int], k: int) -> tuple[int, ...]:
+    """Pairwise disjoint members of ``omega``, as many as exist up to k.
+
+    Backtracks over index-increasing choices and stops at the first packing
+    of k sets; otherwise returns the first packing of the greatest size
+    reached.
+    """
+    chosen: list[int] = []
+    best: tuple[int, ...] = ()
+
+    def backtrack(start: int, used: int) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        if len(chosen) == k:
+            return True
+        for i in range(start, len(omega)):
+            s = omega[i]
+            if s & used:
+                continue
+            chosen.append(s)
+            if backtrack(i + 1, used | s):
+                return True
+            chosen.pop()
+        return False
+
+    backtrack(0, 0)
     return best
 
 
@@ -411,23 +386,7 @@ def has_k_disjoint_maximum_independent_sets(g: Graph, k: int):
         raise ValueError("k must be >= 1")
     if g.n == 0:
         return True, (0,) * k
-    omega = maximum_independent_sets(g)
-    chosen: list[int] = []
-
-    def backtrack(start: int, used: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(omega)):
-            s = omega[i]
-            if s & used:
-                continue
-            chosen.append(s)
-            if backtrack(i + 1, used | s):
-                return True
-            chosen.pop()
-        return False
-
-    if backtrack(0, 0):
-        return True, tuple(chosen)
+    packing = _omega_packing(maximum_independent_sets(g), k)
+    if len(packing) == k:
+        return True, packing
     return False, None
-

@@ -1,0 +1,67 @@
+"""Exhaustive reference computations the library's fast routines are tested
+against.  Each is the definition itself, scanned by brute force, and shares
+no code with the routine it checks."""
+
+from itertools import permutations, product
+
+from wellcover.graph import Graph, iter_bits, write_graph6
+
+
+def brute_force_canonical(g: Graph) -> str:
+    """The least graph6 string over every relabeling of ``g``."""
+    n = g.n
+    best = None
+    for perm in permutations(range(n)):
+        adj = [0] * n
+        for v in range(n):
+            for u in iter_bits(g.adj[v]):
+                adj[perm[v]] |= 1 << perm[u]
+        s = write_graph6(Graph._raw(n, tuple(adj)))
+        if best is None or s < best:
+            best = s
+    return best if best is not None else write_graph6(g)
+
+
+def matching_size_brute_force(g: Graph) -> int:
+    """Maximum matching size by scanning every subset of the edge set."""
+    edges = g.edges()
+    if len(edges) > 20:
+        raise ValueError("edge-subset scan is capped at 20 edges")
+    pair_masks = [(1 << u) | (1 << v) for u, v in edges]
+    best = 0
+    for sub in range(1 << len(edges)):
+        used = 0
+        size = 0
+        ok = True
+        m = sub
+        while m:
+            b = m & -m
+            i = b.bit_length() - 1
+            m ^= b
+            pm = pair_masks[i]
+            if used & pm:
+                ok = False
+                break
+            used |= pm
+            size += 1
+        if ok and size > best:
+            best = size
+    return best
+
+
+def roman_domination_number(g: Graph) -> int:
+    """Least weight sum(f) over f: V -> {0, 1, 2} in which every vertex with
+    f = 0 has a neighbor with f = 2 (Cockayne et al., Discrete Math. 278,
+    2004)."""
+    best = 2 * g.n
+    for f in product((0, 1, 2), repeat=g.n):
+        weight = sum(f)
+        if weight >= best:
+            continue
+        twos = 0
+        for v, x in enumerate(f):
+            if x == 2:
+                twos |= 1 << v
+        if all(x or g.adj[v] & twos for v, x in enumerate(f)):
+            best = weight
+    return best

@@ -46,10 +46,10 @@ from wellcover.independence import (
     _wc_scan,
     differential_of_graph,
     independence_number,
-    matching_size_brute_force,
     maximal_independent_sets,
     maximum_matching_size,
 )
+from oracles import matching_size_brute_force
 from test_independence import all_subsets_maximal
 
 
@@ -110,7 +110,7 @@ def test_criterion_03_differential_values():
     # exhaustive subset scan of the published set-differential definition
     # contradicts it whenever both sides have >= 2 vertices (for example both
     # scans of K_{2,2} top out at 1, not 2), so this criterion documents a
-    # defect rather than an implementation gap; see the decisions ledger.
+    # defect rather than an implementation gap; see "Decisions" in README.md.
     assert not bad, bad
     assert elapsed < 5.0
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcover import catalog as cat
-from wellcover.graph import Graph, brute_force_canonical, girth, is_connected
+from wellcover.graph import Graph, girth, is_connected
 
 from conftest import graphs
+from oracles import brute_force_canonical
 
 
 class TestCertificate:

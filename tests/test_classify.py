@@ -276,6 +276,26 @@ class TestClassReport:
         rep = class_report(path(6), 3)
         assert not rep.well_covered and rep.w_level == 0
 
+    def test_disjoint_mis_max_against_combinations(self, catalog_by_n):
+        # the most pairwise disjoint maximum independent sets, capped at 4,
+        # against a scan of every combination of them
+        from itertools import combinations
+
+        from wellcover.independence import maximum_independent_sets
+
+        for n in range(1, 8):
+            for g in catalog_by_n[n]:
+                omega = maximum_independent_sets(g)
+                want = max(
+                    j
+                    for j in range(1, 5)
+                    if any(
+                        all(a & b == 0 for a, b in combinations(c, 2))
+                        for c in combinations(omega, j)
+                    )
+                )
+                assert GraphContext(g).disjoint_mis_max(4) == want, g
+
     def test_json_round_trip_fields(self):
         doc = class_report(cycle(4), 2).to_json_dict()
         assert doc["graph"] and doc["schema_version"] == 1

@@ -10,7 +10,6 @@ from wellcover.catalog import certificate
 from wellcover.graph import (
     Graph,
     Graph6Error,
-    brute_force_canonical,
     complement,
     complete,
     complete_bipartite,
@@ -36,6 +35,7 @@ from wellcover.graph import (
 )
 
 from conftest import graphs
+from oracles import brute_force_canonical
 
 
 def to_networkx(g):

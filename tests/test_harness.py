@@ -250,7 +250,37 @@ class TestSharedContext:
     def test_report_leaves_verify_fields_unbuilt(self):
         ctx = GraphContext(cycle(22))
         class_report(ctx, 3)
-        assert "ind" not in ctx.__dict__ and "omega" not in ctx.__dict__
+        assert "ind" not in ctx.__dict__
+
+    def test_report_enumerates_omega_once(self, monkeypatch):
+        from wellcover import independence
+
+        calls = []
+        enumerate_maximal = independence.maximal_independent_sets
+        monkeypatch.setattr(
+            independence,
+            "maximal_independent_sets",
+            lambda g: calls.append(g) or enumerate_maximal(g),
+        )
+        assert class_report(cycle(22), 3).disjoint_mis_max == 2
+        assert len(calls) == 1
+
+    def test_suite_computes_girth_once_per_graph(self, monkeypatch, connected_by_n):
+        from wellcover import classify, graph, harness
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return graph.girth(g)
+
+        # whichever module binds the name, every call is counted
+        monkeypatch.setattr(harness, "girth", counted, raising=False)
+        monkeypatch.setattr(classify, "girth", counted, raising=False)
+        for g in connected_by_n[5]:
+            calls.clear()
+            run_suite(g)
+            assert len(calls) <= 1, write_graph6(g)
 
 
 class TestHunt:

@@ -22,14 +22,13 @@ from wellcover.independence import (
     has_k_disjoint_maximum_independent_sets,
     independence_number,
     is_independent,
-    matching_size_brute_force,
     maximal_independent_sets,
     maximum_independent_sets,
     maximum_matching_size,
-    profile,
 )
 
 from conftest import graphs
+from oracles import matching_size_brute_force, roman_domination_number
 
 
 def all_subsets_maximal(g):
@@ -73,12 +72,14 @@ class TestAlphaAndProfile:
 
     @given(graphs())
     @settings(max_examples=150)
-    def test_profile_invariants(self, g):
-        p = profile(g)
-        assert p.alpha == max(p.maximal_sizes)
-        assert all(s.bit_count() == p.alpha for s in p.omega)
-        assert p.maximal_count == len(p.maximal_sizes)
-        assert p.alpha == independence_number(g)
+    def test_alpha_and_omega_invariants(self, g):
+        maximal = maximal_independent_sets(g)
+        alpha = independence_number(g)
+        assert alpha == max(s.bit_count() for s in maximal)
+        assert len(set(maximal)) == len(maximal)
+        omega = maximum_independent_sets(g)
+        assert omega and all(s.bit_count() == alpha for s in omega)
+        assert omega == [s for s in maximal if s.bit_count() == alpha]
 
     def test_maximum_sets_subset_of_maximal(self):
         g = path(6)
@@ -168,6 +169,13 @@ class TestDifferential:
 
         for g in catalog_by_n[6][::5]:
             assert differential_of_graph(g) == naive(g)
+
+    def test_equals_order_minus_roman_domination(self, catalog_by_n):
+        # the differential is n - gamma_R (Bermudo, Fernau & Sigarreta 2014),
+        # checked against a brute-force Roman domination number
+        for n in range(1, 8):
+            for g in catalog_by_n[n]:
+                assert differential_of_graph(g) == n - roman_domination_number(g), g
 
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 24"):
