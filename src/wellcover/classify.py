@@ -21,13 +21,13 @@ from the definition, is the reference oracle the recursion is tested against.
 
 ``GraphContext`` holds the per-graph invariants (alpha, the maximum
 independent sets, the level memo, the shedding and simplicial vertices, the
-simplex partition, the girth, and the report's other fields), each computed on
-first use and then cached; its level memo also answers alpha and
-well-coveredness of every vertex submask, and disjoint maximum independent
-sets are packed from its cached list of them.  ``class_report``, ``w_level``,
-``is_in_w_generic`` and the theorem and hunt drivers accept a context in place
-of a graph, so one graph's invariants are computed once however many of them
-read it.
+simplexes and their partition, the girth, and the report's other fields),
+each computed on first use and then cached; its level memo also answers alpha
+and well-coveredness of every vertex submask, and disjoint maximum
+independent sets are packed from its cached list of them.  ``class_report``,
+``w_level``, ``is_in_w_generic``, the simplex predicates and the theorem and
+hunt drivers accept a context in place of a graph, so one graph's invariants
+are computed once however many of them read it.
 """
 
 from __future__ import annotations
@@ -282,29 +282,25 @@ def simplicial_vertices(g: Graph) -> int:
     return mask
 
 
-def simplexes(g: Graph) -> list[int]:
-    """Distinct simplexes (closed neighborhoods of simplicial vertices)."""
-    out = {g.adj[v] | (1 << v) for v in iter_bits(simplicial_vertices(g))}
-    return sorted(out)
-
-
-def is_simplicial_graph(g: Graph) -> bool:
+def is_simplicial_graph(g: Graph | GraphContext) -> bool:
     """Every vertex belongs to at least one simplex."""
+    ctx = _context(g)
     cover = 0
-    for s in simplexes(g):
+    for s in ctx.simplexes:
         cover |= s
-    return cover == g.full_mask
+    return cover == ctx.full
 
 
-def simplex_partition(g: Graph):
+def simplex_partition(g: Graph | GraphContext):
     """The family of simplexes when they partition the vertex set, else None."""
-    parts = simplexes(g)
+    ctx = _context(g)
+    parts = ctx.simplexes
     union = 0
     for s in parts:
         if union & s:
             return None
         union |= s
-    if union != g.full_mask:
+    if union != ctx.full:
         return None
     return parts
 
@@ -502,8 +498,13 @@ class GraphContext:
         return simplicial_vertices(self.g)
 
     @cached_property
+    def simplexes(self) -> list[int]:
+        # the distinct closed neighborhoods of the simplicial vertices, sorted
+        return sorted({self.adj[v] | (1 << v) for v in iter_bits(self.simp)})
+
+    @cached_property
     def simplex_partition(self):
-        return simplex_partition(self.g)
+        return simplex_partition(self)
 
     @cached_property
     def mu(self) -> int:

@@ -87,39 +87,42 @@ def _parse_range(arg: str) -> tuple[int, int]:
 
 
 def iter_source_lines(source: str, input_path: str | None):
-    """graph6 lines from --input, a path, '-', or a stream generator spec."""
+    """graph6 lines from --input, a path, '-', or a stream generator spec.
+
+    The source is resolved here, before any line is read: a bad spec or an
+    unreadable file is a usage error before the command writes any output.
+    """
     where = input_path or source
     if where is None:
         raise UsageError("no input given")
     if where == "-":
-        yield from sys.stdin
-        return
+        return sys.stdin
     if ":" in where or where.startswith(("cycles", "catalog")):
         kind, _, arg = where.partition(":")
         if kind == "cycles":
             lo, hi = _parse_range(arg)
             if lo < 3:
                 raise UsageError("cycles need n >= 3")
-            for n in range(lo, hi + 1):
-                yield write_graph6(cycle(n))
-            return
+            return (write_graph6(cycle(n)) for n in range(lo, hi + 1))
         if kind == "catalog":
-            connected = False
-            if arg.startswith("connected:"):
-                connected = True
+            connected = arg.startswith("connected:")
+            if connected:
                 arg = arg[len("connected:"):]
             lo, hi = _parse_range(arg)
-            for g in cat.graphs_up_to(hi, connected=connected, min_n=lo):
-                yield write_graph6(g)
-            return
+            graphs = cat.graphs_up_to(hi, connected=connected, min_n=lo)
+            return (write_graph6(g) for g in graphs)
         # single-graph generator specs work as one-line streams
-        yield write_graph6(parse_graph_spec(where))
-        return
+        return [write_graph6(parse_graph_spec(where))]
     try:
-        with open(where) as fh:
-            yield from fh
+        fh = open(where)
     except OSError as exc:
         raise UsageError(f"cannot read {where!r}: {exc}") from exc
+    return _file_lines(fh)
+
+
+def _file_lines(fh):
+    with fh:
+        yield from fh
 
 
 def _out_stream(args):
@@ -134,15 +137,19 @@ def _close(stream):
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("WELLCOVER_JOBS")
-    if env:
+    jobs, name = args.jobs, "--jobs"
+    if jobs is None:
+        env = os.environ.get("WELLCOVER_JOBS")
+        if not env:
+            return 1
+        name = "WELLCOVER_JOBS"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return 1
+            raise UsageError(f"{name} must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{name} must be >= 1, got {jobs}")
+    return jobs
 
 
 def _print_report_table(rep: dict, out):
@@ -230,51 +237,46 @@ def cmd_construct(args) -> int:
 
 
 def _survey_like(args, verify: bool) -> int:
-    lines = iter_source_lines(args.source, args.input)
-    filters = {}
-    if args.connected:
-        filters["connected"] = True
-    try:
-        report = survey_catalog(
-            lines,
-            k_max=args.kmax,
-            filters=filters,
-            strict=args.strict,
-            jobs=_jobs(args),
-            run_theorems=True,
-        )
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    grid_verdicts = []
-    if verify and args.include_grids:
-        for tid in GRID_THEOREM_IDS:
-            grid_verdicts.extend(run_grid(tid))
-    grid_failures = [v for v in grid_verdicts if v.applicable and not v.holds]
-
+    report = survey_catalog(
+        iter_source_lines(args.source, args.input),
+        k_max=args.kmax,
+        connected=args.connected,
+        strict=args.strict,
+        jobs=_jobs(args),
+    )
     out = _out_stream(args)
     try:
-        if args.format == "json":
-            for record in report.records:
+        if args.format == "table":
+            header = f"{'graph':<16} {'n':>3} {'alpha':>5} {'mu':>3} {'wc':>3} {'vwc':>4} {'1wc':>4} {'w':>2} {'shed':>5}"
+            print(header, file=out)
+        # each record is printed as it arrives; in strict mode a malformed
+        # line raises Graph6Error (exit 3) after the records before it
+        for record in report:
+            if args.format == "json":
                 print(json.dumps(record), file=out)
+                continue
+            rep = record["report"]
+            print(
+                f"{rep['graph']:<16} {rep['n']:>3} {rep['alpha']:>5} {rep['mu']:>3}"
+                f" {_yn(rep['well_covered']):>3} {_yn(rep['very_well_covered']):>4}"
+                f" {_yn(rep['one_well_covered']):>4} {rep['w_level']:>2}"
+                f" {len(rep['shed']):>5}",
+                file=out,
+            )
+
+        grid_verdicts = []
+        if verify and args.include_grids:
+            for tid in GRID_THEOREM_IDS:
+                grid_verdicts.extend(run_grid(tid))
+        grid_failures = [v for v in grid_verdicts if v.applicable and not v.holds]
+
+        if args.format == "json":
             for v in grid_verdicts:
                 print(json.dumps(v.to_json_dict()), file=out)
             summary = report.to_json_dict()
             summary["grid_failures"] = [v.to_json_dict() for v in grid_failures]
             print(json.dumps(summary), file=out)
         else:
-            header = f"{'graph':<16} {'n':>3} {'alpha':>5} {'mu':>3} {'wc':>3} {'vwc':>4} {'1wc':>4} {'w':>2} {'shed':>5}"
-            print(header, file=out)
-            for record in report.records:
-                rep = record["report"]
-                print(
-                    f"{rep['graph']:<16} {rep['n']:>3} {rep['alpha']:>5} {rep['mu']:>3}"
-                    f" {_yn(rep['well_covered']):>3} {_yn(rep['very_well_covered']):>4}"
-                    f" {_yn(rep['one_well_covered']):>4} {rep['w_level']:>2}"
-                    f" {len(rep['shed']):>5}",
-                    file=out,
-                )
             print("", file=out)
             for n, agg in report.aggregates.items():
                 print(f"n={n}: {agg}", file=out)
@@ -287,11 +289,8 @@ def _survey_like(args, verify: bool) -> int:
     finally:
         _close(out)
 
-    if report.parse_errors:
-        for line, message in report.parse_errors:
-            print(f"line {line}: {message}", file=sys.stderr)
-        if args.strict:
-            return EXIT_DATA
+    for line, message in report.parse_errors:
+        print(f"line {line}: {message}", file=sys.stderr)
     if verify and (report.failures or grid_failures):
         return EXIT_THEOREM_FAILURE
     return EXIT_OK

@@ -98,6 +98,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return Graph._raw, (self.n, self.adj)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -11,7 +11,11 @@ assumed.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
 from . import catalog as cat
 from .classify import (
@@ -21,9 +25,7 @@ from .classify import (
     class_report,
     is_in_w,
     is_in_w_generic,
-    is_one_well_covered,
     is_simplicial_graph,
-    is_well_covered,
 )
 from .constructions import CoronaFamily, corona, corona_uniform, concatenate, join
 from .graph import (
@@ -366,7 +368,7 @@ def _chk_simplicial_delete(ctx):
 
 def _chk_simplex_partition(ctx):
     lhs = ctx.simplex_partition is not None
-    rhs = is_simplicial_graph(ctx.g) and ctx.well_covered
+    rhs = is_simplicial_graph(ctx) and ctx.well_covered
     if lhs == rhs:
         return True, None
     return False, _wit(partitioned=lhs, simplicial_and_well_covered=rhs)
@@ -816,42 +818,23 @@ def _is_complete_graph(h: Graph) -> bool:
     return h.n >= 1 and h.edge_count() == h.n * (h.n - 1) // 2
 
 
-def _attachment_families(n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _attachment_families(n - 1):
-        for name in CORONA_ATTACHMENT_POOL:
-            yield rest + (name,)
-
-
 # Each grid runner yields (graph, holds, witness) per grid point; run_grid
 # turns them into verdicts and keeps the witness only where the check fails.
 
 
-def _grid_corona_wc(bounds):
+def _grid_corona(k, bounds):
     for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
-        for names in _attachment_families(base.n):
+        for names in product(CORONA_ATTACHMENT_POOL, repeat=base.n):
             fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
             g = corona(fam)
-            expected = all(_is_complete_graph(h) for h in fam.attachments)
-            wit = {"base": write_graph6(base), "attachments": list(names)}
-            yield g, is_well_covered(g) == expected, wit
-
-
-def _grid_corona_w2(bounds):
-    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
-        for names in _attachment_families(base.n):
-            fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
-            g = corona(fam)
+            # level 2 also needs two vertices in the attachments at
+            # non-isolated base vertices
             expected = all(
-                (_is_complete_graph(h) and h.n >= 2)
-                if base.adj[v]
-                else _is_complete_graph(h)
+                _is_complete_graph(h) and (k == 1 or h.n >= 2 or not base.adj[v])
                 for v, h in enumerate(fam.attachments)
             )
             wit = {"base": write_graph6(base), "attachments": list(names)}
-            yield g, is_in_w(g, 2) == expected, wit
+            yield g, is_in_w(g, k) == expected, wit
 
 
 def _grid_corona_k1wc(bounds):
@@ -860,7 +843,8 @@ def _grid_corona_k1wc(bounds):
             continue
         for p in range(1, bounds.get("p_max", 3) + 1):
             g = corona_uniform(base, complete(p))
-            yield g, is_one_well_covered(g) == (p >= 2), {"base": write_graph6(base), "p": p}
+            holds = GraphContext(g).one_well_covered == (p >= 2)
+            yield g, holds, {"base": write_graph6(base), "p": p}
 
 
 def _grid_corona_bipartite_2mis(bounds):
@@ -872,37 +856,19 @@ def _grid_corona_bipartite_2mis(bounds):
         yield g, holds, {"h": write_graph6(h)}
 
 
-def _grid_join_wc(bounds):
-    parts = list(cat.graphs_up_to(bounds.get("part_max_n", 5)))
-    for i, g1 in enumerate(parts):
-        for g2 in parts[i:]:
-            g = join([g1, g2])
-            expected = (
-                is_well_covered(g1)
-                and is_well_covered(g2)
-                and _alpha(g1.adj, g1.full_mask) == _alpha(g2.adj, g2.full_mask)
-            )
-            wit = {"parts": [write_graph6(g1), write_graph6(g2)]}
-            yield g, is_well_covered(g) == expected, wit
-
-
-def _grid_join_w2(bounds):
-    parts = list(cat.graphs_up_to(bounds.get("part_max_n", 5)))
-    for i, g1 in enumerate(parts):
-        for g2 in parts[i:]:
-            g = join([g1, g2])
+def _grid_join(k, bounds):
+    parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5))]
+    for i, c1 in enumerate(parts):
+        for c2 in parts[i:]:
+            g = join([c1.g, c2.g])
             # all-complete parts give a complete join, a level-2 member even
-            # when a one-vertex part is not; the level-2 criterion on the
+            # when a one-vertex part is not; the level-k criterion on the
             # parts governs exactly the remaining case
-            expected = (
-                _is_complete_graph(g1) and _is_complete_graph(g2)
-            ) or (
-                is_in_w(g1, 2)
-                and is_in_w(g2, 2)
-                and _alpha(g1.adj, g1.full_mask) == _alpha(g2.adj, g2.full_mask)
+            expected = (_is_complete_graph(c1.g) and _is_complete_graph(c2.g)) or (
+                c1.in_w(k) and c2.in_w(k) and c1.alpha == c2.alpha
             )
-            wit = {"parts": [write_graph6(g1), write_graph6(g2)]}
-            yield g, is_in_w(g, 2) == expected, wit
+            wit = {"parts": [write_graph6(c1.g), write_graph6(c2.g)]}
+            yield g, is_in_w(g, k) == expected, wit
 
 
 def _grid_concat_alpha(bounds):
@@ -929,37 +895,45 @@ def _grid_concat_alpha(bounds):
                 yield g, _alpha(g.adj, g.full_mask) == expected, wit
 
 
-def _grid_concat_hierarchy(bounds):
-    bases = list(cat.graphs_up_to(bounds.get("base_max_n", 3), connected=True))
-    for h in cat.graphs_up_to(bounds.get("part_max_n", 6)):
-        if h.n < 1 or not is_in_w(h, 2):
+def _concatenation_sweep(parts, base_max_n: int, k: int):
+    """Every concatenation of a connected base of order <= base_max_n with a
+    level-k graph h of ``parts`` fused at its vertex v, looping over h, then
+    v, then the base.  Yields (base, v, h's context, the concatenation's
+    context)."""
+    bases = list(cat.graphs_up_to(base_max_n, connected=True))
+    for h in parts:
+        hctx = GraphContext(h)
+        if h.n < 1 or not hctx.in_w(k):
             continue
-        h_w3 = is_in_w(h, 3)
         for v in range(h.n):
             for base in bases:
-                g = concatenate(base, h, v)
-                ok = is_well_covered(g)
-                if ok and h_w3:
-                    ok = is_in_w(g, 2)
-                wit = {
-                    "base": write_graph6(base),
-                    "h": write_graph6(h),
-                    "at": v,
-                    "h_level": 3 if h_w3 else 2,
-                }
-                yield g, ok, wit
+                yield base, v, hctx, GraphContext(concatenate(base, h, v))
+
+
+def _grid_concat_hierarchy(bounds):
+    parts = cat.graphs_up_to(bounds.get("part_max_n", 6))
+    for base, v, hctx, ctx in _concatenation_sweep(parts, bounds.get("base_max_n", 3), 2):
+        h_w3 = hctx.in_w(3)
+        ok = ctx.in_w(1) and (not h_w3 or ctx.in_w(2))
+        wit = {
+            "base": write_graph6(base),
+            "h": write_graph6(hctx.g),
+            "at": v,
+            "h_level": 3 if h_w3 else 2,
+        }
+        yield ctx.g, ok, wit
 
 
 for _id, _summary, _runner in [
     (
         "prop.corona-wc",
         "a corona is well-covered iff every attachment is complete",
-        _grid_corona_wc,
+        partial(_grid_corona, 1),
     ),
     (
         "prop.corona-w2",
         "a corona is a level-2 member iff attachments are complete on >= 2 vertices at non-isolated base vertices",
-        _grid_corona_w2,
+        partial(_grid_corona, 2),
     ),
     (
         "cor.corona-k1wc",
@@ -974,12 +948,12 @@ for _id, _summary, _runner in [
     (
         "prop.join-wc",
         "a join is well-covered iff all parts are well-covered with equal independence numbers",
-        _grid_join_wc,
+        partial(_grid_join, 1),
     ),
     (
         "prop.join-w2",
         "a join is a level-2 member iff all parts are, with equal independence numbers",
-        _grid_join_w2,
+        partial(_grid_join, 2),
     ),
     (
         "lem.concat-alpha",
@@ -1058,13 +1032,45 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
 # ---------------------------------------------------------------------------
 
 
+def _read_graphs(lines, connected: bool, errors: list | None):
+    """(line number, graph) for each non-blank graph6 line, parsed once,
+    skipping disconnected graphs when ``connected``.
+
+    A malformed line raises ``Graph6Error`` when ``errors`` is None;
+    otherwise ``(line number, message)`` is appended to ``errors`` and the
+    line is skipped.
+    """
+    for line_number, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            g = parse_graph6(text)
+        except Graph6Error as exc:
+            if errors is None:
+                raise
+            errors.append((line_number, str(exc)))
+            continue
+        if connected and not is_connected(g):
+            continue
+        yield line_number, g
+
+
 @dataclass
 class SurveyReport:
-    records: list = field(default_factory=list)       # one dict per graph, input order
+    """A survey in progress.  Iterating it yields one record per graph, in
+    input order, and folds each record into the counters below, which are
+    final once the iteration ends."""
+
     aggregates: dict = field(default_factory=dict)    # per-order counters
     failures: list = field(default_factory=list)      # verdicts of proven theorems that failed
     parse_errors: list = field(default_factory=list)  # (line_number, message)
+    graphs: int = 0
     elapsed: float = 0.0
+    _records: Iterator = field(default=iter(()), repr=False)
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._records
 
     def to_json_dict(self) -> dict:
         return {
@@ -1074,113 +1080,117 @@ class SurveyReport:
             "parse_errors": [
                 {"line": line, "message": msg} for line, msg in self.parse_errors
             ],
-            "graphs": len(self.records),
+            "graphs": self.graphs,
             "elapsed": self.elapsed,
         }
 
+    def _fold(self, record: dict):
+        self.graphs += 1
+        rep = record["report"]
+        counted = {
+            "graphs": True,
+            "well_covered": rep["well_covered"],
+            "very_well_covered": rep["very_well_covered"],
+            "one_well_covered": rep["one_well_covered"],
+            "w2": rep["w_level"] >= 2,
+            "w3": rep["w_level"] >= 3,
+        }
+        agg = self.aggregates.setdefault(rep["n"], dict.fromkeys(counted, 0))
+        for key, flag in counted.items():
+            agg[key] += int(flag)
+        for verdict in record["verdicts"]:
+            if verdict["applicable"] and not verdict["holds"]:
+                self.failures.append(verdict)
 
-def _survey_one(args) -> dict:
-    line_number, text, k_max, run_theorems = args
-    ctx = GraphContext(parse_graph6(text))
-    record = {
+
+def _survey_one(k_max: int, item) -> dict:
+    line_number, g = item
+    ctx = GraphContext(g)
+    return {
         "line": line_number,
         "report": class_report(ctx, k_max).to_json_dict(),
+        "verdicts": [v.to_json_dict() for v in run_suite(ctx)],
     }
-    if run_theorems:
-        record["verdicts"] = [v.to_json_dict() for v in run_suite(ctx)]
-    return record
 
 
 def survey_catalog(
     lines,
     k_max: int = 3,
-    filters: dict | None = None,
+    connected: bool = False,
     strict: bool = False,
     jobs: int = 1,
-    run_theorems: bool = True,
 ) -> SurveyReport:
-    """Classify (and optionally theorem-check) every graph of a graph6 stream.
+    """Classify and theorem-check every graph of a graph6 line stream.
 
-    Filters: {"connected": bool, "min_n": int, "max_n": int}.  Parse failures
-    are reported with their line numbers and skipped unless ``strict``.
-    Output is deterministic given the input order; ``jobs`` > 1 parallelizes
-    per-graph work without changing the output.
+    Nothing is read until the returned report is iterated; it then yields
+    one record per graph in input order, each as soon as it is ready, so
+    memory does not grow with the stream.  ``connected`` skips disconnected
+    graphs.  Parse failures are recorded with their line numbers and skipped,
+    unless ``strict``: then the records before the first malformed line come
+    out and the iteration raises ``Graph6Error``.  ``jobs`` > 1 spreads the
+    per-graph work over that many worker processes without changing the
+    records.
     """
-    t0 = time.perf_counter()
-    filters = filters or {}
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = SurveyReport()
-    work = []
-    for line_number, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            g = parse_graph6(text)
-        except Graph6Error as exc:
-            if strict:
-                raise
-            report.parse_errors.append((line_number, str(exc)))
-            continue
-        if "min_n" in filters and g.n < filters["min_n"]:
-            continue
-        if "max_n" in filters and g.n > filters["max_n"]:
-            continue
-        if filters.get("connected") and not is_connected(g):
-            continue
-        work.append((line_number, text, k_max, run_theorems))
+    report._records = _survey_stream(report, lines, k_max, connected, strict, jobs)
+    return report
 
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_survey_one, work, chunksize=16))
-    else:
-        records = [_survey_one(item) for item in work]
+def _survey_stream(report, lines, k_max, connected, strict, jobs):
+    t0 = time.perf_counter()
+    stopped = []  # the strict-mode parse error that ended the input
+    work = _read_graphs(lines, connected, None if strict else report.parse_errors)
+    survey_one = partial(_survey_one, k_max)
+    with ExitStack() as stack:
+        if jobs == 1:
+            records = map(survey_one, work)
+        else:
+            import multiprocessing  # 10 ms of start-up that serial commands skip
 
-    for record in records:
-        report.records.append(record)
-        rep = record["report"]
-        agg = report.aggregates.setdefault(
-            rep["n"],
-            {
-                "graphs": 0,
-                "well_covered": 0,
-                "very_well_covered": 0,
-                "one_well_covered": 0,
-                "w2": 0,
-                "w3": 0,
-            },
-        )
-        agg["graphs"] += 1
-        for key, flag in [
-            ("well_covered", rep["well_covered"]),
-            ("very_well_covered", rep["very_well_covered"]),
-            ("one_well_covered", rep["one_well_covered"]),
-            ("w2", rep["w_level"] >= 2),
-            ("w3", rep["w_level"] >= 3),
-        ]:
-            agg[key] += int(flag)
-        for verdict in record.get("verdicts", ()):
-            if verdict["applicable"] and not verdict["holds"]:
-                report.failures.append(verdict)
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            # the pool reads its input on a thread of its own and would drop
+            # the records of a partly read chunk if that read raised, so the
+            # error is held back until the records before it are out
+            records = pool.imap(survey_one, _until_parse_error(work, stopped), chunksize=16)
+        for record in records:
+            report._fold(record)
+            yield record
+    if stopped:
+        raise stopped[0]
     report.aggregates = {n: report.aggregates[n] for n in sorted(report.aggregates)}
     report.elapsed = time.perf_counter() - t0
-    return report
+
+
+def _until_parse_error(items, stopped: list):
+    try:
+        yield from items
+    except Graph6Error as exc:
+        stopped.append(exc)
 
 
 # ---------------------------------------------------------------------------
 # hunting
 # ---------------------------------------------------------------------------
 
-HUNT_TARGET_IDS = (
-    "conjecture.wk-concat",
-    "problem.no-shedding",
-    "problem.two-disjoint-mis-girth5",
-    "problem.w2-alpha2",
-    "problem.alpha-plus-mu",
-)
+# the census predicate of each problem target, on a graph's context
+_HUNT_PREDICATES = {
+    "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
+    "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
+    and ctx.girth <= 5
+    and ctx.disjoint_mis_max(2) == 2,
+    "problem.w2-alpha2": lambda ctx: ctx.connected and ctx.alpha == 2 and ctx.in_w(2),
+    "problem.alpha-plus-mu": lambda ctx: ctx.connected
+    and ctx.in_w(2)
+    and ctx.alpha + ctx.mu == ctx.g.n - 1,
+}
 
-# Largest order a hunt searches.  The default source generates and holds every
+HUNT_TARGET_IDS = ("conjecture.wk-concat", *_HUNT_PREDICATES)
+
+# Largest order a hunt searches.  The default source generates and caches every
 # graph up to max_n in memory: 12,005,168 graphs of order 10 alone, and about
 # 10^9 of order 11.  Deduplication (catalog.certificate) has no cap of its own.
 HUNT_MAX_N = 10
@@ -1229,22 +1239,6 @@ class HuntReport:
         }
 
 
-def _hunt_source(target: HuntTarget, source, connected_only: bool) -> list[Graph]:
-    if source is None:
-        graphs = list(cat.graphs_up_to(target.max_n, connected=connected_only))
-    else:
-        graphs = []
-        for raw in source:
-            text = raw.strip() if isinstance(raw, str) else None
-            if text == "":
-                continue
-            graphs.append(parse_graph6(text) if text is not None else raw)
-        graphs = [g for g in graphs if g.n <= target.max_n]
-        if connected_only:
-            graphs = [g for g in graphs if is_connected(g)]
-    return graphs
-
-
 def _dedup_canonical(graphs) -> list[Graph]:
     seen = {}
     for g in graphs:
@@ -1255,8 +1249,10 @@ def _dedup_canonical(graphs) -> list[Graph]:
 
 
 def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntReport:
-    """Run one hunt target over a graph6 stream, a Graph iterable, or (by
-    default) the generated connected catalog within the target bound.
+    """Run one hunt target over a graph6 line stream or, by default, the
+    generated catalog within the target bound.  Graphs above ``max_n`` are
+    skipped, and so are disconnected ones when ``connected_only``; a
+    malformed line raises ``Graph6Error``.
 
     Problem targets emit the canonically deduplicated census of graphs
     satisfying the problem predicate; the conjecture target reports any
@@ -1267,62 +1263,44 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
         target_id=target.target_id,
         parameters={"max_n": target.max_n, "k": target.k, "base_max_n": target.base_max_n},
     )
+    if source is None:
+        graphs = cat.graphs_up_to(target.max_n, connected=connected_only)
+    else:
+        graphs = (
+            g for _, g in _read_graphs(source, connected_only, None) if g.n <= target.max_n
+        )
 
     if target.target_id == "conjecture.wk-concat":
-        bases = [b for b in cat.graphs_up_to(target.base_max_n, connected=True)]
-        for h in _hunt_source(target, source, connected_only):
-            if h.n < 1 or not is_in_w(h, target.k):
-                continue
-            for v in range(h.n):
-                for base in bases:
-                    g = concatenate(base, h, v)
-                    report.checked += 1
-                    if not is_in_w(g, target.k - 1):
-                        report.counterexamples.append(
-                            {
-                                "base": write_graph6(base),
-                                "h": write_graph6(h),
-                                "at": v,
-                                "concatenation": write_graph6(g),
-                            }
-                        )
+        for base, v, hctx, ctx in _concatenation_sweep(graphs, target.base_max_n, target.k):
+            report.checked += 1
+            if not ctx.in_w(target.k - 1):
+                report.counterexamples.append(
+                    {
+                        "base": write_graph6(base),
+                        "h": write_graph6(hctx.g),
+                        "at": v,
+                        "concatenation": write_graph6(ctx.g),
+                    }
+                )
         report.summary = {
             "counterexamples": len(report.counterexamples),
             "checked": report.checked,
         }
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    predicate = {
-        "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
-        "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
-        and ctx.girth <= 5
-        and ctx.disjoint_mis_max(2) == 2,
-        "problem.w2-alpha2": lambda ctx: ctx.connected
-        and ctx.alpha == 2
-        and ctx.in_w(2),
-        "problem.alpha-plus-mu": lambda ctx: ctx.connected
-        and ctx.in_w(2)
-        and ctx.alpha + ctx.mu == ctx.g.n - 1,
-    }[target.target_id]
-
-    hits = []
-    for g in _hunt_source(target, source, connected_only):
-        report.checked += 1
-        if g.n >= 1 and predicate(GraphContext(g)):
-            hits.append(g)
-    for g in _dedup_canonical(hits):
-        report.entries.append(
-            {
-                "graph": write_graph6(g),
-                "n": g.n,
-                "connected": is_connected(g),
-            }
-        )
-    report.summary = {
-        "found": len(report.entries),
-        "found_connected": sum(1 for e in report.entries if e["connected"]),
-        "checked": report.checked,
-    }
+    else:
+        predicate = _HUNT_PREDICATES[target.target_id]
+        hits = []
+        for g in graphs:
+            report.checked += 1
+            if g.n >= 1 and predicate(GraphContext(g)):
+                hits.append(g)
+        for g in _dedup_canonical(hits):
+            report.entries.append(
+                {"graph": write_graph6(g), "n": g.n, "connected": is_connected(g)}
+            )
+        report.summary = {
+            "found": len(report.entries),
+            "found_connected": sum(1 for e in report.entries if e["connected"]),
+            "checked": report.checked,
+        }
     report.elapsed = time.perf_counter() - t0
     return report

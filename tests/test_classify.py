@@ -201,6 +201,9 @@ class TestSimplicial:
         assert simplex_partition(path(4)) == [mask_of([0, 1]), mask_of([2, 3])]
         assert simplex_partition(path(3)) is None
         assert simplex_partition(complete(3)) == [mask_of([0, 1, 2])]
+        ctx = GraphContext(path(4))
+        assert is_simplicial_graph(ctx)
+        assert simplex_partition(ctx) == ctx.simplexes == [mask_of([0, 1]), mask_of([2, 3])]
 
     def test_partition_iff_simplicial_and_well_covered(self, catalog_by_n):
         for n in range(7):

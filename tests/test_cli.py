@@ -152,13 +152,17 @@ class TestSurvey:
 
     def test_strict_exits_3(self, capsys, tmp_path):
         src = tmp_path / "graphs.g6"
-        src.write_text("A_\n!!!!\n")
-        code, _, err = run_cli(capsys, "survey", str(src), "--strict")
+        src.write_text("A_\n!!!!\nBw\n")
+        code, out, err = run_cli(capsys, "survey", str(src), "--strict")
         assert code == 3
+        # the records before the malformed line are printed, then no summary
+        code, out, err = run_cli(capsys, "survey", str(src), "--strict", "--format", "json")
+        assert code == 3 and "error:" in err
+        assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
 
     def test_missing_file_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "survey", "/nonexistent/file.g6")
-        assert code == 2
+        code, out, err = run_cli(capsys, "survey", "/nonexistent/file.g6")
+        assert code == 2 and out == ""
 
 
 class TestVerify:
@@ -232,6 +236,16 @@ class TestJobsEnv:
         code, out, _ = run_cli(capsys, "survey", "cycles:3..6", "--format", "json")
         assert code == 0
         assert len(out.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("env", ["0", "-1", "two"])
+    def test_bad_env_exits_2(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("WELLCOVER_JOBS", env)
+        code, out, err = run_cli(capsys, "survey", "cycles:3..6")
+        assert code == 2 and out == "" and env in err
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "cycles:3..6", "--jobs", "0")
+        assert code == 2 and out == "" and "--jobs" in err
 
 
 class TestVerifyGrids:

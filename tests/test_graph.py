@@ -1,4 +1,5 @@
 import math
+import pickle
 from itertools import permutations
 
 import networkx as nx
@@ -123,6 +124,11 @@ class TestGenerators:
             Graph(3, [(0, 5)])
         with pytest.raises(ValueError):
             Graph.from_adj((1, 0))  # asymmetric
+
+    def test_pickle_round_trip(self):
+        # survey workers receive parsed graphs
+        for g in (empty_graph(0), cycle(7), complete_bipartite(2, 3)):
+            assert pickle.loads(pickle.dumps(g)) == g
 
 
 class TestNeighborhoods:

@@ -6,6 +6,7 @@ from wellcover import catalog as cat
 from wellcover.classify import class_report
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
+    Graph6Error,
     complete,
     complete_bipartite,
     cycle,
@@ -178,13 +179,13 @@ class TestGrids:
 class TestSurvey:
     def test_cycle_census(self):
         lines = [write_graph6(cycle(n)) for n in range(3, 13)]
-        report = survey_catalog(lines, run_theorems=False)
-        wc = [r["report"]["n"] for r in report.records if r["report"]["well_covered"]]
+        wc = [r["report"]["n"] for r in survey_catalog(lines) if r["report"]["well_covered"]]
         assert wc == [3, 4, 5, 7]
 
     def test_connected_three_vertex_catalog(self):
         lines = [write_graph6(g) for g in cat.all_graphs(3, connected=True)]
         report = survey_catalog(lines)
+        list(report)
         assert report.aggregates[3]["graphs"] == 2
         assert report.aggregates[3]["well_covered"] == 1
         assert not report.failures
@@ -192,21 +193,46 @@ class TestSurvey:
     def test_zero_failures_n5_connected(self):
         lines = [write_graph6(g) for g in cat.all_graphs(5, connected=True)]
         report = survey_catalog(lines)
-        assert len(report.records) == 21
+        assert len(list(report)) == 21 == report.graphs
         assert report.failures == []
 
     def test_parse_error_handling(self):
-        report = survey_catalog(["A_", "!!", "Bw"], run_theorems=False)
-        assert len(report.records) == 2
+        report = survey_catalog(["A_", "!!", "Bw"])
+        assert [r["line"] for r in report] == [1, 3]
         assert len(report.parse_errors) == 1 and report.parse_errors[0][0] == 2
-        with pytest.raises(Exception):
-            survey_catalog(["!!"], strict=True)
+        with pytest.raises(Graph6Error):
+            list(survey_catalog(["!!"], strict=True))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_yields_records_before_the_bad_line(self, jobs):
+        records = []
+        with pytest.raises(Graph6Error):
+            for record in survey_catalog(["A_", "Bw", "!!", "BW"], strict=True, jobs=jobs):
+                records.append(record)
+        assert [r["line"] for r in records] == [1, 2]
+
+    def test_first_record_before_second_line_is_read(self):
+        pulled = []
+
+        def lines():
+            for n in range(3, 6):
+                pulled.append(n)
+                yield write_graph6(cycle(n))
+
+        first = next(iter(survey_catalog(lines())))
+        assert first["report"]["n"] == 3 and pulled == [3]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            survey_catalog([], jobs=0)
+        with pytest.raises(ValueError):
+            survey_catalog([], k_max=0)
 
     def test_filters(self):
         lines = [write_graph6(disjoint_union([complete(2), complete(2)])),
                  write_graph6(cycle(4))]
-        report = survey_catalog(lines, filters={"connected": True}, run_theorems=False)
-        assert len(report.records) == 1
+        report = survey_catalog(lines, connected=True)
+        assert [r["line"] for r in report] == [2] and report.graphs == 1
 
     def test_determinism_and_jobs(self):
         lines = [write_graph6(g) for g in cat.all_graphs(5)]
@@ -215,15 +241,15 @@ class TestSurvey:
             out = []
             for r in records:
                 r = json.loads(json.dumps(r))
-                for v in r.get("verdicts", ()):
+                for v in r["verdicts"]:
                     v.pop("elapsed")
                 out.append(r)
             return out
 
         a = survey_catalog(lines, jobs=1)
         b = survey_catalog(lines, jobs=2)
-        assert strip(a.records) == strip(b.records)
-        assert a.aggregates == b.aggregates
+        assert strip(a) == strip(b)
+        assert a.aggregates == b.aggregates and a.graphs == b.graphs == 34
 
 
 def _without_elapsed(doc):
@@ -282,6 +308,21 @@ class TestSharedContext:
             run_suite(g)
             assert len(calls) <= 1, write_graph6(g)
 
+    def test_suite_computes_simplicial_vertices_once_per_graph(
+        self, monkeypatch, connected_by_n
+    ):
+        from wellcover import classify
+
+        calls = []
+        simplicial = classify.simplicial_vertices
+        monkeypatch.setattr(
+            classify, "simplicial_vertices", lambda g: calls.append(g) or simplicial(g)
+        )
+        for g in connected_by_n[5]:
+            calls.clear()
+            run_suite(g)
+            assert len(calls) <= 1, write_graph6(g)
+
 
 class TestHunt:
     def test_no_shedding_contains_c4_c7(self):
@@ -296,6 +337,10 @@ class TestHunt:
             source=[write_graph6(cycle(n)) for n in range(3, 11)],
         )
         assert sorted(e["n"] for e in report.entries) == [4, 7]
+
+    def test_malformed_stream_line_raises(self):
+        with pytest.raises(Graph6Error):
+            hunt(HuntTarget("problem.no-shedding", max_n=5), source=["Bw", "", "!!"])
 
     def test_conjecture_proven_case(self):
         report = hunt(HuntTarget("conjecture.wk-concat", max_n=5, k=3, base_max_n=2))
