@@ -12,7 +12,7 @@ Generated catalogs are cached in memory and, optionally, on disk (graph6
 lines) under ``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
 ``WELLCOVER_CACHE_DIR=off`` to disable the disk layer.  Generation is
 deterministic, so the cache is a pure memo; a disk level whose size differs
-from the classical count is regenerated.
+from its known count is regenerated.
 """
 
 from __future__ import annotations
@@ -29,6 +29,16 @@ _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
 # and loaded levels (classical values; OEIS A000088 and A001349)
 KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080]
+
+# the counts each cached level is checked against, keyed by its min_girth (0:
+# every graph): graphs on n vertices of girth >= 4, 5, 6 are OEIS A006785,
+# A006786 and A006787; their order-10 entries are this generator's output
+KNOWN_LEVEL_COUNTS = {
+    0: KNOWN_GRAPH_COUNTS,
+    4: [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897],
+    5: [1, 1, 2, 3, 6, 11, 23, 48, 114, 293, 869],
+    6: [1, 1, 2, 3, 6, 10, 21, 40, 88, 192, 473],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +171,16 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
     more), one per isomorphism class: from memory, else from disk, else
     generated from level n - 1 and stored.
 
-    A level with a known count is checked on disk load as well as after
-    generation; a disk level of the wrong size is regenerated and rewritten.
-    Girth levels have no known counts, so a damaged girth file goes unnoticed.
+    A level with a known count (``KNOWN_LEVEL_COUNTS``) is checked on disk
+    load as well as after generation; a disk level of the wrong size is
+    regenerated and rewritten.
     """
     key = ("all", n) if min_girth < 3 else ("girth", n, min_girth)
     level = _mem_cache.get(key)
     if level is not None:
         return level
-    expected = None
-    if min_girth < 3 and n < len(KNOWN_GRAPH_COUNTS):
-        expected = KNOWN_GRAPH_COUNTS[n]
+    counts = KNOWN_LEVEL_COUNTS.get(min_girth, ())
+    expected = counts[n] if n < len(counts) else None
     level = _disk_load(key)
     if level is None or (expected is not None and len(level) != expected):
         if n == 0:

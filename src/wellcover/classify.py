@@ -310,37 +310,25 @@ def simplex_partition(g: Graph | GraphContext):
 # ---------------------------------------------------------------------------
 
 
-def is_quasi_regularizable(g: Graph) -> bool:
-    """|S| <= |N(S)| for every independent set S (all of them; the maximal-set
-    reduction is not valid here)."""
-    adj, full = g.adj, g.full_mask
+def _regularizability(g: Graph) -> tuple[bool, bool]:
+    """(quasi-regularizable, regularizable) from one walk over Ind(G).
+
+    Quasi-regularizable: |N(S)| >= |S| for every independent set S (all of
+    them; the maximal-set reduction is not valid here).  Regularizable: also
+    N(N(S)) = S whenever |N(S)| = |S|.  The walk stops at the first S with
+    |N(S)| < |S|; after a tight S with N(N(S)) != S it checks only the quasi
+    condition.
+    """
+    adj = g.adj
+    regular = True
 
     def rec(cur: int, nb: int, avail: int) -> bool:
-        if cur.bit_count() > nb.bit_count():
-            return False
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if not rec(cur | b, nb | adj[v], m & ~adj[v]):
-                return False
-        return True
-
-    return rec(0, 0, full)
-
-
-def is_regularizable(g: Graph) -> bool:
-    """|N(S)| >= |S| for each independent S, with N(N(S)) = S forced whenever
-    |N(S)| = |S|."""
-    adj, full = g.adj, g.full_mask
-
-    def rec(cur: int, nb: int, avail: int) -> bool:
+        nonlocal regular
         cs, ns = cur.bit_count(), nb.bit_count()
         if ns < cs:
             return False
-        if ns == cs and _nbhd(adj, nb) != cur:
-            return False
+        if regular and ns == cs and _nbhd(adj, nb) != cur:
+            regular = False
         m = avail
         while m:
             b = m & -m
@@ -350,7 +338,19 @@ def is_regularizable(g: Graph) -> bool:
                 return False
         return True
 
-    return rec(0, 0, full)
+    quasi = rec(0, 0, g.full_mask)
+    return quasi, quasi and regular
+
+
+def is_quasi_regularizable(g: Graph | GraphContext) -> bool:
+    """|S| <= |N(S)| for every independent set S."""
+    return _context(g).regularizability[0]
+
+
+def is_regularizable(g: Graph | GraphContext) -> bool:
+    """|N(S)| >= |S| for each independent S, with N(N(S)) = S forced whenever
+    |N(S)| = |S|."""
+    return _context(g).regularizability[1]
 
 
 def is_locally_triangle_free(g: Graph) -> bool:
@@ -362,24 +362,25 @@ def is_locally_triangle_free(g: Graph) -> bool:
 
 
 def check_wk_monotonicity(g: Graph | GraphContext, k: int):
-    """Whether |N(A)| - (k-1)|A| <= |N(B)| - (k-1)|B| for every independent
-    B and every A <= B.  Returns (holds, witness pair or None)."""
+    """Whether f(A) <= f(B), f(X) = |N(X)| - (k-1)|X|, for every independent
+    B and every A <= B.  Returns (holds, witness pair (A, B) or None).
+
+    Only the covering pairs (B - v, B) are compared: the subsets of an
+    independent set are independent, so single-vertex deletions link any
+    A <= B through independent sets, and a failing pair A < B forces a
+    failing covering pair at some B' <= B.  Scanning B in ascending order
+    therefore finds the same first failing B as a scan of every subset.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     ctx = _context(g)
     adj = ctx.adj
     for b_set in ctx.ind:
-        nb_b = _nbhd(adj, b_set)
-        rhs = nb_b.bit_count() - (k - 1) * b_set.bit_count()
-        # scan subsets of b_set
-        a_set = b_set
-        while True:
-            lhs = _nbhd(adj, a_set).bit_count() - (k - 1) * a_set.bit_count()
-            if lhs > rhs:
+        rhs = _nbhd(adj, b_set).bit_count() - (k - 1) * b_set.bit_count()
+        for v in iter_bits(b_set):
+            a_set = b_set ^ (1 << v)
+            if _nbhd(adj, a_set).bit_count() - (k - 1) * a_set.bit_count() > rhs:
                 return False, (a_set, b_set)
-            if a_set == 0:
-                break
-            a_set = (a_set - 1) & b_set
     return True, None
 
 
@@ -523,8 +524,9 @@ class GraphContext:
         return is_one_well_covered(self)
 
     @cached_property
-    def regularizable(self) -> bool:
-        return is_regularizable(self.g)
+    def regularizability(self) -> tuple[bool, bool]:
+        """(quasi-regularizable, regularizable), from one walk over Ind(G)."""
+        return _regularizability(self.g)
 
     @cached_property
     def locally_triangle_free(self) -> bool:
@@ -629,8 +631,8 @@ def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
         well_covered=wl >= 1,
         very_well_covered=ctx.very_well_covered,
         one_well_covered=ctx.one_well_covered,
-        quasi_regularizable=is_quasi_regularizable(ctx.g),
-        regularizable=ctx.regularizable,
+        quasi_regularizable=ctx.regularizability[0],
+        regularizable=ctx.regularizability[1],
         locally_triangle_free=ctx.locally_triangle_free,
         w_level=wl,
         k_max=k_max,

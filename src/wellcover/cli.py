@@ -87,7 +87,8 @@ def _parse_range(arg: str) -> tuple[int, int]:
 
 
 def iter_source_lines(source: str, input_path: str | None):
-    """graph6 lines from --input, a path, '-', or a stream generator spec.
+    """The input stream: graph6 lines from --input, a path or '-', or the
+    ``Graph`` objects of a generator spec, which need no graph6 round trip.
 
     The source is resolved here, before any line is read: a bad spec or an
     unreadable file is a usage error before the command writes any output.
@@ -103,16 +104,15 @@ def iter_source_lines(source: str, input_path: str | None):
             lo, hi = _parse_range(arg)
             if lo < 3:
                 raise UsageError("cycles need n >= 3")
-            return (write_graph6(cycle(n)) for n in range(lo, hi + 1))
+            return (cycle(n) for n in range(lo, hi + 1))
         if kind == "catalog":
             connected = arg.startswith("connected:")
             if connected:
                 arg = arg[len("connected:"):]
             lo, hi = _parse_range(arg)
-            graphs = cat.graphs_up_to(hi, connected=connected, min_n=lo)
-            return (write_graph6(g) for g in graphs)
-        # single-graph generator specs work as one-line streams
-        return [write_graph6(parse_graph_spec(where))]
+            return cat.graphs_up_to(hi, connected=connected, min_n=lo)
+        # single-graph generator specs work as one-graph streams
+        return [parse_graph_spec(where)]
     try:
         fh = open(where)
     except OSError as exc:
@@ -153,15 +153,10 @@ def _jobs(args) -> int:
 
 
 def _print_report_table(rep: dict, out):
-    order = [
-        "graph", "n", "alpha", "mu", "differential", "well_covered",
-        "very_well_covered", "one_well_covered", "quasi_regularizable",
-        "regularizable", "locally_triangle_free", "w_level", "k_max",
-        "shed", "simp", "disjoint_mis_max", "w_convention_diffs",
-    ]
-    width = max(len(k) for k in order)
-    for key in order:
-        print(f"{key:<{width}}  {rep[key]}", file=out)
+    rows = {key: value for key, value in rep.items() if key != "schema_version"}
+    width = max(len(key) for key in rows)
+    for key, value in rows.items():
+        print(f"{key:<{width}}  {value}", file=out)
 
 
 def cmd_analyze(args) -> int:

@@ -1,8 +1,10 @@
 """Registry of executable theorem checks, catalog survey drivers, and the
 counterexample hunter for the open problems and the concatenation conjecture.
 
-Every proven statement is registered with explicit hypothesis gating so a
-vacuously true verdict is distinguishable from a confirmed one.  A verdict of
+Each per-graph theorem is one check registered by its ``@_theorem(id, gate)``
+decorator, its docstring the statement and hypotheses; the hypothesis gate
+keeps a vacuously true verdict distinguishable from a confirmed one.  Each
+construction-grid theorem is one row of ``GRID_THEOREMS``.  A verdict of
 (applicable and not holds) for a registered theorem signals an implementation
 bug, never new mathematics; the conjecture is a hunt target only and is never
 assumed.
@@ -23,7 +25,6 @@ from .classify import (
     GraphContext,
     _context,
     class_report,
-    is_in_w,
     is_in_w_generic,
     is_simplicial_graph,
 )
@@ -45,14 +46,7 @@ from .graph import (
     vertices_of,
     write_graph6,
 )
-from .independence import (
-    _alpha,
-    _iter_maximal_independent,
-    _nbhd,
-    can_match_into,
-    has_k_disjoint_maximum_independent_sets,
-    maximum_independent_sets,
-)
+from .independence import _iter_maximal_independent, _nbhd, can_match_into
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +89,14 @@ def _wit(**kv):
         else:
             out[key] = value
     return out
+
+
+def _agree(**named):
+    """(True, None) when the named values are all equal, else False with
+    all of them as the witness."""
+    if len(set(named.values())) == 1:
+        return True, None
+    return False, _wit(**named)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +172,95 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# graph-kind theorem checks
+# hypothesis gates
 # ---------------------------------------------------------------------------
 
 
+def _nonempty(ctx):
+    return ctx.g.n >= 1
+
+
+def _no_isolated(ctx):
+    return ctx.g.n >= 1 and all(row != 0 for row in ctx.adj)
+
+
+def _wc_gate(ctx):
+    return _nonempty(ctx) and ctx.well_covered
+
+
+def _w2_gate(ctx):
+    return _nonempty(ctx) and ctx.w2
+
+
+def _w2_connected(ctx):
+    return _w2_gate(ctx) and ctx.connected
+
+
+def _w2_connected_not_k2(ctx):
+    return _w2_connected(ctx) and not ctx.is_k2()
+
+
+def _two_simplicial_gate(ctx):
+    parts = ctx.simplex_partition
+    if not _nonempty(ctx) or parts is None:
+        return False
+    return all((s & ctx.simp).bit_count() >= 2 for s in parts)
+
+
+def _girth6_gate(ctx):
+    return (
+        _nonempty(ctx)
+        and ctx.connected
+        and ctx.girth >= 6
+        and not ctx.is_cycle_of(7)
+        and ctx.g.n != 1
+    )
+
+
+def _girth5_gate(ctx):
+    return _nonempty(ctx) and ctx.connected and ctx.girth >= 5
+
+
+def _hartnell_gate(ctx):
+    return _nonempty(ctx) and ctx.connected and not has_four_cycle(ctx.g)
+
+
+def _triangle_free_gate(ctx):
+    return _no_isolated(ctx) and is_triangle_free_mask(ctx.g, ctx.full)
+
+
+def _locally_tf_w2_gate(ctx):
+    return _w2_gate(ctx) and ctx.locally_triangle_free
+
+
+# ---------------------------------------------------------------------------
+# per-graph theorems
+# ---------------------------------------------------------------------------
+
+# id -> (gate, check), in registration order, which is the order of verdicts
+GRAPH_THEOREMS: dict[str, tuple] = {}
+
+
+def _theorem(theorem_id: str, gate):
+    """Register the decorated check as the per-graph theorem ``theorem_id``.
+
+    The check runs where ``gate(ctx)`` holds and returns (holds, witness);
+    elsewhere the theorem is vacuously true.
+    """
+
+    def register(check):
+        if theorem_id in GRAPH_THEOREMS:
+            raise ValueError(f"duplicate theorem id {theorem_id}")
+        GRAPH_THEOREMS[theorem_id] = (gate, check)
+        return check
+
+    return register
+
+
+@_theorem("lem.alpha-stability", _wc_gate)
 def _chk_alpha_stability(ctx):
+    """Deleting a non-isolated vertex of a well-covered graph preserves the
+    independence number.  Hypotheses: nonempty, well-covered."""
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
@@ -184,7 +270,10 @@ def _chk_alpha_stability(ctx):
     return True, None
 
 
+@_theorem("thm.w2-equivalence", _no_isolated)
 def _chk_w2_equivalence(ctx):
+    """The seven characterizations of level-2 membership agree.
+    Hypotheses: nonempty, no isolated vertices."""
     preds = w2_equivalence_predicates(ctx)
     values = set(preds.values())
     if len(values) == 1:
@@ -192,7 +281,10 @@ def _chk_w2_equivalence(ctx):
     return False, {"predicates": preds}
 
 
+@_theorem("cor.w2-minus-ns", _w2_gate)
 def _chk_w2_minus_ns(ctx):
+    """Removing the closed neighborhood of a non-maximum independent set keeps
+    level-2 membership.  Hypotheses: nonempty, in level 2."""
     for s in ctx.ind:
         if s.bit_count() >= ctx.alpha:
             continue
@@ -202,14 +294,20 @@ def _chk_w2_minus_ns(ctx):
     return True, None
 
 
+@_theorem("cor.w2-no-leaf", _w2_connected_not_k2)
 def _chk_w2_no_leaf(ctx):
+    """A connected level-2 member other than the single edge has minimum
+    degree >= 2.  Hypotheses: connected, in level 2, not the single edge."""
     for v in range(ctx.g.n):
         if ctx.adj[v].bit_count() < 2:
             return False, _wit(vertex=v, degree=ctx.adj[v].bit_count())
     return True, None
 
 
+@_theorem("cor.w2-minus-nv", _w2_gate)
 def _chk_w2_minus_nv(ctx):
+    """Removing any closed vertex neighborhood keeps level-2 membership.
+    Hypotheses: nonempty, in level 2."""
     for v in range(ctx.g.n):
         mask = ctx.full & ~(ctx.adj[v] | (1 << v))
         if not ctx.in_w(2, mask):
@@ -217,7 +315,11 @@ def _chk_w2_minus_nv(ctx):
     return True, None
 
 
+@_theorem("thm.w2-properties", _w2_connected_not_k2)
 def _chk_w2_properties(ctx):
+    """Structural consequences (order, matching, differential,
+    regularizability) of level-2 membership.  Hypotheses: connected, in
+    level 2, not the single edge."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     alpha, omega = ctx.alpha, ctx.omega
     disj, avoid = ctx.omega_disjoint, ctx.omega_avoiding
@@ -258,7 +360,7 @@ def _chk_w2_properties(ctx):
     for s in ctx.ind:
         if s and _nbhd(adj, s).bit_count() <= s.bit_count():
             return False, _wit(item="strict_neighborhood_expansion", independent_set=s)
-    if not ctx.regularizable:
+    if not ctx.regularizability[1]:
         return False, _wit(item="regularizable")
     # (viii) independent sets never beat their neighborhood's independence
     for s in ctx.ind:
@@ -277,7 +379,10 @@ def _chk_w2_properties(ctx):
     return True, None
 
 
+@_theorem("cor.w2-degree-bound", _w2_connected)
 def _chk_w2_degree_bound(ctx):
+    """Degrees inside an independent set are bounded by its neighborhood
+    slack.  Hypotheses: connected, in level 2."""
     for s in ctx.ind:
         slack = _nbhd(ctx.adj, s).bit_count() - s.bit_count() + 1
         for v in iter_bits(s):
@@ -286,7 +391,11 @@ def _chk_w2_degree_bound(ctx):
     return True, None
 
 
+@_theorem("cor.w2-differential-bound", _w2_gate)
 def _chk_w2_differential_bound(ctx):
+    """The graph differential is at least n - 2*alpha (and that is at least
+    max degree - 1 when connected).  Hypotheses: in level 2 (second
+    inequality: connected)."""
     d = ctx.differential
     gap = ctx.g.n - 2 * ctx.alpha
     if d < gap:
@@ -303,7 +412,10 @@ def _epsilon_mask(ctx, universe: int, a: int) -> int:
     return a.bit_count() + ctx.alpha_of(universe & ~closed)
 
 
+@_theorem("thm.shedding-epsilon", _nonempty)
 def _chk_shedding_epsilon(ctx):
+    """A vertex is shedding iff deleting it preserves every enlargement
+    strength.  Hypotheses: nonempty."""
     full = ctx.full
     for v in range(ctx.g.n):
         sub = full ^ (1 << v)
@@ -318,7 +430,10 @@ def _chk_shedding_epsilon(ctx):
     return True, None
 
 
+@_theorem("cor.shedding-wc", _wc_gate)
 def _chk_shedding_wc(ctx):
+    """In a well-covered graph a non-isolated vertex is shedding iff its
+    deletion stays well-covered.  Hypotheses: nonempty, well-covered."""
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
@@ -327,7 +442,10 @@ def _chk_shedding_wc(ctx):
     return True, None
 
 
+@_theorem("cor.shedding-four-way", _wc_gate)
 def _chk_shedding_four_way(ctx):
+    """The four shedding characterizations agree for non-isolated vertices of
+    well-covered graphs.  Hypotheses: nonempty, well-covered."""
     adj, full = ctx.adj, ctx.full
     for v in range(ctx.g.n):
         nv = adj[v]
@@ -350,7 +468,9 @@ def _chk_shedding_four_way(ctx):
     return True, None
 
 
+@_theorem("prop.simplicial-shed", _nonempty)
 def _chk_simplicial_shed(ctx):
+    """Neighbors of a simplicial vertex are shedding.  Hypotheses: nonempty."""
     shed = ctx.shed
     for v in iter_bits(ctx.simp):
         if ctx.adj[v] & ~shed:
@@ -358,7 +478,10 @@ def _chk_simplicial_shed(ctx):
     return True, None
 
 
+@_theorem("cor.simplicial-delete", _wc_gate)
 def _chk_simplicial_delete(ctx):
+    """Deleting a neighbor of a simplicial vertex keeps a well-covered graph
+    well-covered.  Hypotheses: nonempty, well-covered."""
     for v in iter_bits(ctx.simp):
         for u in iter_bits(ctx.adj[v]):
             if not ctx.in_w(1, ctx.full ^ (1 << u)):
@@ -366,25 +489,32 @@ def _chk_simplicial_delete(ctx):
     return True, None
 
 
+@_theorem("thm.simplex-partition", _nonempty)
 def _chk_simplex_partition(ctx):
-    lhs = ctx.simplex_partition is not None
-    rhs = is_simplicial_graph(ctx) and ctx.well_covered
-    if lhs == rhs:
-        return True, None
-    return False, _wit(partitioned=lhs, simplicial_and_well_covered=rhs)
+    """The simplexes partition the vertices iff the graph is simplicial and
+    well-covered.  Hypotheses: nonempty."""
+    return _agree(
+        partitioned=ctx.simplex_partition is not None,
+        simplicial_and_well_covered=is_simplicial_graph(ctx) and ctx.well_covered,
+    )
 
 
+@_theorem("prop.two-simplicial-w2", _two_simplicial_gate)
 def _chk_two_simplicial_w2(ctx):
+    """Simplex-partitioned graphs with two simplicial vertices per simplex are
+    level-2 members.  Hypotheses: simplexes partition the vertices, each with
+    >= 2 simplicial vertices."""
     if ctx.w2:
         return True, None
     return False, _wit(w2=False)
 
 
+@_theorem("thm.w2-five-way", lambda ctx: _no_isolated(ctx) and ctx.well_covered)
 def _chk_w2_five_way(ctx):
+    """Five characterizations of level-2 membership for well-covered graphs
+    without isolated vertices.  Hypotheses: nonempty, well-covered, no
+    isolated vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
-    c1 = ctx.w2
-    c2 = ctx.wk_monotonicity(2)[0]
-    c3 = ctx.shed == full
     c4 = True
     for s in ctx.ind:
         rem = full & ~(s | _nbhd(adj, s))
@@ -394,19 +524,21 @@ def _chk_w2_five_way(ctx):
                 break
         if not c4:
             break
-    c5 = all(ctx.in_w(2, full & ~(adj[v] | (1 << v))) for v in range(g.n))
-    if c1 == c2 == c3 == c4 == c5:
-        return True, None
-    return False, _wit(
-        w2=c1,
-        differential_monotone=c2,
-        all_vertices_shedding=c3,
+    return _agree(
+        w2=ctx.w2,
+        differential_monotone=ctx.wk_monotonicity(2)[0],
+        all_vertices_shedding=ctx.shed == full,
         no_isolation_after_removal=c4,
-        closed_neighborhood_deletions_w2=c5,
+        closed_neighborhood_deletions_w2=all(
+            ctx.in_w(2, full & ~(adj[v] | (1 << v))) for v in range(g.n)
+        ),
     )
 
 
+@_theorem("cor.w2-order-extremal", _w2_connected)
 def _chk_order_extremal(ctx):
+    """Order-extremal and bipartite connected level-2 members are the known
+    ones.  Hypotheses: connected, in level 2."""
     g = ctx.g
     if g.n == 2 * ctx.alpha and not ctx.is_k2():
         return False, _wit(reason="order 2*alpha without being the single edge")
@@ -417,7 +549,11 @@ def _chk_order_extremal(ctx):
     return True, None
 
 
+@_theorem("thm.w2-triangle-free-gab", _triangle_free_gate)
 def _chk_gab_criterion(ctx):
+    """Triangle-free level-2 membership via well-coveredness of all
+    edge-neighborhood deletions.  Hypotheses: nonempty, triangle-free, no
+    isolated vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     cond = True
     for a, b in g.edges():
@@ -425,12 +561,14 @@ def _chk_gab_criterion(ctx):
         if not (ctx.in_w(1, mask) and ctx.alpha_of(mask) == ctx.alpha - 1):
             cond = False
             break
-    if ctx.w2 == cond:
-        return True, None
-    return False, _wit(w2=ctx.w2, edge_contraction_criterion=cond)
+    return _agree(w2=ctx.w2, edge_contraction_criterion=cond)
 
 
+@_theorem("prop.locally-tf-w2", _locally_tf_w2_gate)
 def _chk_locally_tf_w2(ctx):
+    """Locally triangle-free level-2 members with small independence number
+    are complete graphs or cycle complements.  Hypotheses: in level 2,
+    locally triangle-free."""
     # For independence number 2 the published claim names a single cycle
     # complement, but the complement of two disjoint 4-cycles (the join of
     # two copies of 2K2) is an 8-vertex member as well; the statement proved
@@ -457,7 +595,10 @@ def _chk_locally_tf_w2(ctx):
     return True, None
 
 
+@_theorem("thm.wk-monotonicity", _nonempty)
 def _chk_wk_monotonicity(ctx):
+    """Level-k membership forces the k-weighted neighborhood deficiency to be
+    monotone.  Hypotheses: nonempty (levels 1..3 probed)."""
     for k, member in enumerate(ctx.w_levels[:3], start=1):
         if member:
             ok, wit = ctx.wk_monotonicity(k)
@@ -466,7 +607,10 @@ def _chk_wk_monotonicity(ctx):
     return True, None
 
 
+@_theorem("thm.wk-chain", lambda ctx: True)
 def _chk_wk_chain(ctx):
+    """Hierarchy levels are nested.  Hypotheses: none (levels up to 4
+    probed)."""
     levels = ctx.w_levels
     for k in range(2, len(levels) + 1):
         if levels[k - 1] and not levels[k - 2]:
@@ -474,7 +618,10 @@ def _chk_wk_chain(ctx):
     return True, None
 
 
+@_theorem("thm.berge-maximum", _nonempty)
 def _chk_berge(ctx):
+    """An independent set is maximum iff every disjoint independent set
+    matches into it.  Hypotheses: nonempty."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     omega_set = set(ctx.omega)
     for s in ctx.ind:
@@ -500,305 +647,40 @@ def _is_corona_of(g: Graph, attach: Graph) -> bool:
     return False
 
 
+@_theorem("thm.girth6-wc-corona", _girth6_gate)
 def _chk_girth6_corona(ctx):
-    lhs = ctx.well_covered
-    rhs = _is_corona_of(ctx.g, complete(1))
-    if lhs == rhs:
-        return True, None
-    return False, _wit(well_covered=lhs, pendant_corona=rhs)
+    """Connected well-covered graphs of girth >= 6 are pendant coronas (known
+    exceptions aside).  Hypotheses: connected, girth >= 6, not the 7-cycle,
+    more than one vertex."""
+    return _agree(
+        well_covered=ctx.well_covered, pendant_corona=_is_corona_of(ctx.g, complete(1))
+    )
 
 
+@_theorem("thm.girth5-vwc-corona", _girth5_gate)
 def _chk_girth5_corona(ctx):
-    lhs = ctx.very_well_covered
-    rhs = _is_corona_of(ctx.g, complete(1))
-    if lhs == rhs:
-        return True, None
-    return False, _wit(very_well_covered=lhs, pendant_corona=rhs)
+    """Connected very well-covered graphs of girth >= 5 are pendant coronas.
+    Hypotheses: connected, girth >= 5."""
+    return _agree(
+        very_well_covered=ctx.very_well_covered,
+        pendant_corona=_is_corona_of(ctx.g, complete(1)),
+    )
 
 
+@_theorem("thm.hartnell-c4free", _hartnell_gate)
 def _chk_hartnell(ctx):
-    lhs = ctx.w2
-    rhs = ctx.is_k2() or ctx.is_cycle_of(5) or _is_corona_of(ctx.g, complete(2))
-    if lhs == rhs:
-        return True, None
-    return False, _wit(w2=lhs, k2_c5_or_edge_corona=rhs)
-
-
-# ---------------------------------------------------------------------------
-# hypothesis gates
-# ---------------------------------------------------------------------------
-
-
-def _nonempty(ctx):
-    return ctx.g.n >= 1
-
-
-def _no_isolated(ctx):
-    return ctx.g.n >= 1 and all(row != 0 for row in ctx.adj)
-
-
-def _wc_gate(ctx):
-    return _nonempty(ctx) and ctx.well_covered
-
-
-def _w2_gate(ctx):
-    return _nonempty(ctx) and ctx.w2
-
-
-def _w2_connected_not_k2(ctx):
-    return _w2_gate(ctx) and ctx.connected and not ctx.is_k2()
-
-
-def _two_simplicial_gate(ctx):
-    parts = ctx.simplex_partition
-    if not _nonempty(ctx) or parts is None:
-        return False
-    return all((s & ctx.simp).bit_count() >= 2 for s in parts)
-
-
-def _girth6_gate(ctx):
-    return (
-        _nonempty(ctx)
-        and ctx.connected
-        and ctx.girth >= 6
-        and not ctx.is_cycle_of(7)
-        and ctx.g.n != 1
+    """Connected graphs without 4-cycles in level 2 are the single edge, the
+    5-cycle, or an edge corona.  Hypotheses: connected, no 4-cycle."""
+    return _agree(
+        w2=ctx.w2,
+        k2_c5_or_edge_corona=ctx.is_k2()
+        or ctx.is_cycle_of(5)
+        or _is_corona_of(ctx.g, complete(2)),
     )
 
 
-def _girth5_gate(ctx):
-    return _nonempty(ctx) and ctx.connected and ctx.girth >= 5
-
-
-def _hartnell_gate(ctx):
-    return _nonempty(ctx) and ctx.connected and not has_four_cycle(ctx.g)
-
-
-def _triangle_free_gate(ctx):
-    return _no_isolated(ctx) and is_triangle_free_mask(ctx.g, ctx.full)
-
-
-def _locally_tf_w2_gate(ctx):
-    return _w2_gate(ctx) and ctx.locally_triangle_free
-
-
 # ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Theorem:
-    theorem_id: str
-    kind: str  # "graph" | "grid"
-    summary: str
-    hypotheses: str = ""
-    applies: object = None
-    check: object = None
-    run_grid: object = None
-
-
-REGISTRY: dict[str, Theorem] = {}
-
-
-def _register(theorem: Theorem):
-    if theorem.theorem_id in REGISTRY:
-        raise ValueError(f"duplicate theorem id {theorem.theorem_id}")
-    REGISTRY[theorem.theorem_id] = theorem
-
-
-def _graph_theorem(theorem_id, summary, hypotheses, applies, check):
-    _register(
-        Theorem(
-            theorem_id=theorem_id,
-            kind="graph",
-            summary=summary,
-            hypotheses=hypotheses,
-            applies=applies,
-            check=check,
-        )
-    )
-
-
-_graph_theorem(
-    "lem.alpha-stability",
-    "deleting a non-isolated vertex of a well-covered graph preserves the independence number",
-    "nonempty, well-covered",
-    _wc_gate,
-    _chk_alpha_stability,
-)
-_graph_theorem(
-    "thm.w2-equivalence",
-    "the seven characterizations of level-2 membership agree",
-    "nonempty, no isolated vertices",
-    _no_isolated,
-    _chk_w2_equivalence,
-)
-_graph_theorem(
-    "cor.w2-minus-ns",
-    "removing the closed neighborhood of a non-maximum independent set keeps level-2 membership",
-    "nonempty, in level 2",
-    _w2_gate,
-    _chk_w2_minus_ns,
-)
-_graph_theorem(
-    "cor.w2-no-leaf",
-    "a connected level-2 member other than the single edge has minimum degree >= 2",
-    "connected, in level 2, not the single edge",
-    _w2_connected_not_k2,
-    _chk_w2_no_leaf,
-)
-_graph_theorem(
-    "cor.w2-minus-nv",
-    "removing any closed vertex neighborhood keeps level-2 membership",
-    "nonempty, in level 2",
-    _w2_gate,
-    _chk_w2_minus_nv,
-)
-_graph_theorem(
-    "thm.w2-properties",
-    "structural consequences (order, matching, differential, regularizability) of level-2 membership",
-    "connected, in level 2, not the single edge",
-    _w2_connected_not_k2,
-    _chk_w2_properties,
-)
-_graph_theorem(
-    "cor.w2-degree-bound",
-    "degrees inside an independent set are bounded by its neighborhood slack",
-    "connected, in level 2",
-    lambda ctx: _w2_gate(ctx) and ctx.connected,
-    _chk_w2_degree_bound,
-)
-_graph_theorem(
-    "cor.w2-differential-bound",
-    "the graph differential is at least n - 2*alpha (and that is at least max degree - 1 when connected)",
-    "in level 2 (second inequality: connected)",
-    _w2_gate,
-    _chk_w2_differential_bound,
-)
-_graph_theorem(
-    "thm.shedding-epsilon",
-    "a vertex is shedding iff deleting it preserves every enlargement strength",
-    "nonempty",
-    _nonempty,
-    _chk_shedding_epsilon,
-)
-_graph_theorem(
-    "cor.shedding-wc",
-    "in a well-covered graph a non-isolated vertex is shedding iff its deletion stays well-covered",
-    "nonempty, well-covered",
-    _wc_gate,
-    _chk_shedding_wc,
-)
-_graph_theorem(
-    "cor.shedding-four-way",
-    "the four shedding characterizations agree for non-isolated vertices of well-covered graphs",
-    "nonempty, well-covered",
-    _wc_gate,
-    _chk_shedding_four_way,
-)
-_graph_theorem(
-    "prop.simplicial-shed",
-    "neighbors of a simplicial vertex are shedding",
-    "nonempty",
-    _nonempty,
-    _chk_simplicial_shed,
-)
-_graph_theorem(
-    "cor.simplicial-delete",
-    "deleting a neighbor of a simplicial vertex keeps a well-covered graph well-covered",
-    "nonempty, well-covered",
-    _wc_gate,
-    _chk_simplicial_delete,
-)
-_graph_theorem(
-    "thm.simplex-partition",
-    "the simplexes partition the vertices iff the graph is simplicial and well-covered",
-    "nonempty",
-    _nonempty,
-    _chk_simplex_partition,
-)
-_graph_theorem(
-    "prop.two-simplicial-w2",
-    "simplex-partitioned graphs with two simplicial vertices per simplex are level-2 members",
-    "simplexes partition the vertices, each with >= 2 simplicial vertices",
-    _two_simplicial_gate,
-    _chk_two_simplicial_w2,
-)
-_graph_theorem(
-    "thm.w2-five-way",
-    "five characterizations of level-2 membership for well-covered graphs without isolated vertices",
-    "nonempty, well-covered, no isolated vertices",
-    lambda ctx: _no_isolated(ctx) and ctx.well_covered,
-    _chk_w2_five_way,
-)
-_graph_theorem(
-    "cor.w2-order-extremal",
-    "order-extremal and bipartite connected level-2 members are the known ones",
-    "connected, in level 2",
-    lambda ctx: _w2_gate(ctx) and ctx.connected,
-    _chk_order_extremal,
-)
-_graph_theorem(
-    "thm.w2-triangle-free-gab",
-    "triangle-free level-2 membership via well-coveredness of all edge-neighborhood deletions",
-    "nonempty, triangle-free, no isolated vertices",
-    _triangle_free_gate,
-    _chk_gab_criterion,
-)
-_graph_theorem(
-    "prop.locally-tf-w2",
-    "locally triangle-free level-2 members with small independence number are complete graphs or cycle complements",
-    "in level 2, locally triangle-free",
-    _locally_tf_w2_gate,
-    _chk_locally_tf_w2,
-)
-_graph_theorem(
-    "thm.wk-monotonicity",
-    "level-k membership forces the k-weighted neighborhood deficiency to be monotone",
-    "nonempty (levels 1..3 probed)",
-    _nonempty,
-    _chk_wk_monotonicity,
-)
-_graph_theorem(
-    "thm.wk-chain",
-    "hierarchy levels are nested",
-    "none (levels up to 4 probed)",
-    lambda ctx: True,
-    _chk_wk_chain,
-)
-_graph_theorem(
-    "thm.berge-maximum",
-    "an independent set is maximum iff every disjoint independent set matches into it",
-    "nonempty",
-    _nonempty,
-    _chk_berge,
-)
-_graph_theorem(
-    "thm.girth6-wc-corona",
-    "connected well-covered graphs of girth >= 6 are pendant coronas (known exceptions aside)",
-    "connected, girth >= 6, not the 7-cycle, more than one vertex",
-    _girth6_gate,
-    _chk_girth6_corona,
-)
-_graph_theorem(
-    "thm.girth5-vwc-corona",
-    "connected very well-covered graphs of girth >= 5 are pendant coronas",
-    "connected, girth >= 5",
-    _girth5_gate,
-    _chk_girth5_corona,
-)
-_graph_theorem(
-    "thm.hartnell-c4free",
-    "connected graphs without 4-cycles in level 2 are the single edge, the 5-cycle, or an edge corona",
-    "connected, no 4-cycle",
-    _hartnell_gate,
-    _chk_hartnell,
-)
-
-
-# ---------------------------------------------------------------------------
-# grid theorems
+# construction-grid theorems
 # ---------------------------------------------------------------------------
 
 CORONA_ATTACHMENT_POOL = ("K1", "K2", "K3", "P3", "2K1")
@@ -823,6 +705,9 @@ def _is_complete_graph(h: Graph) -> bool:
 
 
 def _grid_corona(k, bounds):
+    """prop.corona-wc (k = 1): a corona is well-covered iff every attachment
+    is complete.  prop.corona-w2 (k = 2): a corona is a level-2 member iff
+    attachments are complete on >= 2 vertices at non-isolated base vertices."""
     for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         for names in product(CORONA_ATTACHMENT_POOL, repeat=base.n):
             fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
@@ -834,10 +719,12 @@ def _grid_corona(k, bounds):
                 for v, h in enumerate(fam.attachments)
             )
             wit = {"base": write_graph6(base), "attachments": list(names)}
-            yield g, is_in_w(g, k) == expected, wit
+            yield g, GraphContext(g).in_w(k) == expected, wit
 
 
 def _grid_corona_k1wc(bounds):
+    """cor.corona-k1wc: a complete-attachment corona over a base with edges is
+    1-well-covered iff the attachment has >= 2 vertices."""
     for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         if base.edge_count() == 0:
             continue
@@ -848,15 +735,19 @@ def _grid_corona_k1wc(bounds):
 
 
 def _grid_corona_bipartite_2mis(bounds):
+    """thm.corona-bipartite-2mis: a pendant corona has two disjoint maximum
+    independent sets iff the base is bipartite."""
     for h in cat.graphs_up_to(bounds.get("h_max_n", 5)):
         g = corona_uniform(h, complete(1))
-        holds = has_k_disjoint_maximum_independent_sets(g, 2)[0] == (
-            is_bipartite(h) is not None
-        )
+        holds = (GraphContext(g).disjoint_mis_max(2) == 2) == (is_bipartite(h) is not None)
         yield g, holds, {"h": write_graph6(h)}
 
 
 def _grid_join(k, bounds):
+    """prop.join-wc (k = 1): a join is well-covered iff all parts are
+    well-covered with equal independence numbers.  prop.join-w2 (k = 2): a
+    join is a level-2 member iff all parts are, with equal independence
+    numbers."""
     parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5))]
     for i, c1 in enumerate(parts):
         for c2 in parts[i:]:
@@ -868,31 +759,35 @@ def _grid_join(k, bounds):
                 c1.in_w(k) and c2.in_w(k) and c1.alpha == c2.alpha
             )
             wit = {"parts": [write_graph6(c1.g), write_graph6(c2.g)]}
-            yield g, is_in_w(g, k) == expected, wit
+            yield g, GraphContext(g).in_w(k) == expected, wit
 
 
 def _grid_concat_alpha(bounds):
+    """lem.concat-alpha: the independence number of a concatenation follows
+    the two-branch formula."""
     bases = [
-        b for b in cat.graphs_up_to(bounds.get("base_max_n", 4), connected=True) if b.n >= 2
+        GraphContext(b)
+        for b in cat.graphs_up_to(bounds.get("base_max_n", 4), connected=True)
+        if b.n >= 2
     ]
-    parts = [h for h in cat.graphs_up_to(bounds.get("part_max_n", 5)) if h.n >= 2]
-    for base in bases:
-        for h in parts:
-            omega_h = maximum_independent_sets(h)
-            ah = omega_h[0].bit_count()
+    parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5)) if h.n >= 2]
+    for bctx in bases:
+        base = bctx.g
+        for hctx in parts:
+            h = hctx.g
             for v in range(h.n):
                 g = concatenate(base, h, v)
-                if all(s >> v & 1 for s in omega_h):
-                    expected = base.n * (ah - 1) + _alpha(base.adj, base.full_mask)
+                if all(s >> v & 1 for s in hctx.omega):
+                    expected = base.n * (hctx.alpha - 1) + bctx.alpha
                 else:
-                    expected = base.n * ah
+                    expected = base.n * hctx.alpha
                 wit = {
                     "base": write_graph6(base),
                     "h": write_graph6(h),
                     "at": v,
                     "expected": expected,
                 }
-                yield g, _alpha(g.adj, g.full_mask) == expected, wit
+                yield g, GraphContext(g).alpha == expected, wit
 
 
 def _concatenation_sweep(parts, base_max_n: int, k: int):
@@ -911,6 +806,8 @@ def _concatenation_sweep(parts, base_max_n: int, k: int):
 
 
 def _grid_concat_hierarchy(bounds):
+    """thm.concat-hierarchy: concatenation drops the hierarchy level by at
+    most one (levels 2 and 3)."""
     parts = cat.graphs_up_to(bounds.get("part_max_n", 6))
     for base, v, hctx, ctx in _concatenation_sweep(parts, bounds.get("base_max_n", 3), 2):
         h_w3 = hctx.in_w(3)
@@ -924,53 +821,20 @@ def _grid_concat_hierarchy(bounds):
         yield ctx.g, ok, wit
 
 
-for _id, _summary, _runner in [
-    (
-        "prop.corona-wc",
-        "a corona is well-covered iff every attachment is complete",
-        partial(_grid_corona, 1),
-    ),
-    (
-        "prop.corona-w2",
-        "a corona is a level-2 member iff attachments are complete on >= 2 vertices at non-isolated base vertices",
-        partial(_grid_corona, 2),
-    ),
-    (
-        "cor.corona-k1wc",
-        "a complete-attachment corona over a base with edges is 1-well-covered iff the attachment has >= 2 vertices",
-        _grid_corona_k1wc,
-    ),
-    (
-        "thm.corona-bipartite-2mis",
-        "a pendant corona has two disjoint maximum independent sets iff the base is bipartite",
-        _grid_corona_bipartite_2mis,
-    ),
-    (
-        "prop.join-wc",
-        "a join is well-covered iff all parts are well-covered with equal independence numbers",
-        partial(_grid_join, 1),
-    ),
-    (
-        "prop.join-w2",
-        "a join is a level-2 member iff all parts are, with equal independence numbers",
-        partial(_grid_join, 2),
-    ),
-    (
-        "lem.concat-alpha",
-        "the independence number of a concatenation follows the two-branch formula",
-        _grid_concat_alpha,
-    ),
-    (
-        "thm.concat-hierarchy",
-        "concatenation drops the hierarchy level by at most one (levels 2 and 3)",
-        _grid_concat_hierarchy,
-    ),
-]:
-    _register(Theorem(theorem_id=_id, kind="grid", summary=_summary, run_grid=_runner))
+# id -> runner, in registration order
+GRID_THEOREMS = {
+    "prop.corona-wc": partial(_grid_corona, 1),
+    "prop.corona-w2": partial(_grid_corona, 2),
+    "cor.corona-k1wc": _grid_corona_k1wc,
+    "thm.corona-bipartite-2mis": _grid_corona_bipartite_2mis,
+    "prop.join-wc": partial(_grid_join, 1),
+    "prop.join-w2": partial(_grid_join, 2),
+    "lem.concat-alpha": _grid_concat_alpha,
+    "thm.concat-hierarchy": _grid_concat_hierarchy,
+}
 
-
-GRAPH_THEOREM_IDS = [t.theorem_id for t in REGISTRY.values() if t.kind == "graph"]
-GRID_THEOREM_IDS = [t.theorem_id for t in REGISTRY.values() if t.kind == "grid"]
+GRAPH_THEOREM_IDS = list(GRAPH_THEOREMS)
+GRID_THEOREM_IDS = list(GRID_THEOREMS)
 
 
 # ---------------------------------------------------------------------------
@@ -981,23 +845,23 @@ GRID_THEOREM_IDS = [t.theorem_id for t in REGISTRY.values() if t.kind == "grid"]
 def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]:
     """Evaluate registered per-graph theorems on one graph (or its context)."""
     if theorem_ids is None:
-        theorem_ids = GRAPH_THEOREM_IDS
+        theorem_ids = GRAPH_THEOREMS
     ctx = _context(g)
     graph_id = write_graph6(ctx.g)
     out = []
     for tid in theorem_ids:
-        theorem = REGISTRY.get(tid)
-        if theorem is None:
+        if tid not in GRAPH_THEOREMS:
+            if tid in GRID_THEOREMS:
+                raise ValueError(f"{tid!r} is a construction-grid theorem; use run_grid")
             raise ValueError(f"unknown theorem id {tid!r}")
-        if theorem.kind != "graph":
-            raise ValueError(f"{tid!r} is a construction-grid theorem; use run_grid")
+        gate, check = GRAPH_THEOREMS[tid]
         t0 = time.perf_counter()
-        if not theorem.applies(ctx):
+        if not gate(ctx):
             out.append(
                 TheoremVerdict(tid, graph_id, False, True, None, time.perf_counter() - t0)
             )
             continue
-        holds, witness = theorem.check(ctx)
+        holds, witness = check(ctx)
         out.append(
             TheoremVerdict(
                 tid, graph_id, True, holds, witness if not holds else None,
@@ -1009,14 +873,13 @@ def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]
 
 def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict]:
     """Evaluate one construction-grid theorem over its (bounded) grid."""
-    theorem = REGISTRY.get(theorem_id)
-    if theorem is None:
+    if theorem_id not in GRID_THEOREMS:
+        if theorem_id in GRAPH_THEOREMS:
+            raise ValueError(f"{theorem_id!r} is a per-graph theorem; use run_suite")
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if theorem.kind != "grid":
-        raise ValueError(f"{theorem_id!r} is a per-graph theorem; use run_suite")
     out = []
     t0 = time.perf_counter()
-    for g, holds, witness in theorem.run_grid(bounds or {}):
+    for g, holds, witness in GRID_THEOREMS[theorem_id](bounds or {}):
         out.append(
             TheoremVerdict(
                 theorem_id, write_graph6(g), True, holds, None if holds else witness,
@@ -1032,25 +895,29 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
 # ---------------------------------------------------------------------------
 
 
-def _read_graphs(lines, connected: bool, errors: list | None):
-    """(line number, graph) for each non-blank graph6 line, parsed once,
-    skipping disconnected graphs when ``connected``.
+def _read_graphs(items, connected: bool, errors: list | None):
+    """(line number, graph) for each ``Graph`` and each non-blank graph6 line
+    of ``items``, a line parsed once, skipping disconnected graphs when
+    ``connected``.
 
     A malformed line raises ``Graph6Error`` when ``errors`` is None;
     otherwise ``(line number, message)`` is appended to ``errors`` and the
     line is skipped.
     """
-    for line_number, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            g = parse_graph6(text)
-        except Graph6Error as exc:
-            if errors is None:
-                raise
-            errors.append((line_number, str(exc)))
-            continue
+    for line_number, item in enumerate(items, start=1):
+        if isinstance(item, Graph):
+            g = item
+        else:
+            text = item.strip()
+            if not text:
+                continue
+            try:
+                g = parse_graph6(text)
+            except Graph6Error as exc:
+                if errors is None:
+                    raise
+                errors.append((line_number, str(exc)))
+                continue
         if connected and not is_connected(g):
             continue
         yield line_number, g
@@ -1120,12 +987,14 @@ def survey_catalog(
     strict: bool = False,
     jobs: int = 1,
 ) -> SurveyReport:
-    """Classify and theorem-check every graph of a graph6 line stream.
+    """Classify and theorem-check every graph of a stream of graph6 lines or
+    ``Graph`` objects.
 
     Nothing is read until the returned report is iterated; it then yields
     one record per graph in input order, each as soon as it is ready, so
     memory does not grow with the stream.  ``connected`` skips disconnected
-    graphs.  Parse failures are recorded with their line numbers and skipped,
+    graphs.  A line number counts every item of the stream, a ``Graph``
+    included.  Parse failures are recorded with their line numbers and skipped,
     unless ``strict``: then the records before the first malformed line come
     out and the iteration raises ``Graph6Error``.  ``jobs`` > 1 spreads the
     per-graph work over that many worker processes without changing the
@@ -1249,7 +1118,8 @@ def _dedup_canonical(graphs) -> list[Graph]:
 
 
 def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntReport:
-    """Run one hunt target over a graph6 line stream or, by default, the
+    """Run one hunt target over a stream of graph6 lines or ``Graph`` objects
+    (the same reader as ``survey_catalog``) or, by default, the
     generated catalog within the target bound.  Graphs above ``max_n`` are
     skipped, and so are disconnected ones when ``connected_only``; a
     malformed line raises ``Graph6Error``.

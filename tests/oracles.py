@@ -65,3 +65,52 @@ def roman_domination_number(g: Graph) -> int:
         if all(x or g.adj[v] & twos for v, x in enumerate(f)):
             best = weight
     return best
+
+
+def _independent_subsets(g: Graph) -> list[int]:
+    """Every independent vertex set, ascending as bitmasks, by testing each
+    of the 2^n subsets."""
+    return [
+        s
+        for s in range(1 << g.n)
+        if all(not g.adj[v] & s for v in iter_bits(s))
+    ]
+
+
+def _neighborhood(g: Graph, s: int) -> int:
+    out = 0
+    for v in iter_bits(s):
+        out |= g.adj[v]
+    return out
+
+
+def wk_monotonicity_by_subsets(g: Graph, k: int):
+    """(holds, (A, B) or None): f(A) <= f(B), f(X) = |N(X)| - (k-1)|X|, for
+    every independent B, in ascending order, and every subset A of B, in
+    descending order."""
+    def f(x):
+        return _neighborhood(g, x).bit_count() - (k - 1) * x.bit_count()
+
+    for b in _independent_subsets(g):
+        a = b
+        while True:
+            if f(a) > f(b):
+                return False, (a, b)
+            if a == 0:
+                break
+            a = (a - 1) & b
+    return True, None
+
+
+def regularizability_by_subsets(g: Graph) -> tuple[bool, bool]:
+    """(quasi-regularizable, regularizable) straight from the definitions:
+    |N(S)| >= |S| for every independent S, and also N(N(S)) = S whenever
+    |N(S)| = |S|."""
+    quasi = regular = True
+    for s in _independent_subsets(g):
+        nb = _neighborhood(g, s)
+        if nb.bit_count() < s.bit_count():
+            quasi = False
+        elif nb.bit_count() == s.bit_count() and _neighborhood(g, nb) != s:
+            regular = False
+    return quasi, quasi and regular

@@ -75,7 +75,7 @@ class TestGeneration:
         assert len(out) == 1 + 1 + 2 + 6
 
     def test_girth_catalogs_match_filtering(self):
-        for gmin in (5, 6):
+        for gmin in (4, 5, 6):
             for n in range(8):
                 generated = list(cat.graphs_with_girth_at_least(n, gmin))
                 filtered = [g for g in cat.all_graphs(n) if girth(g) >= gmin]
@@ -112,6 +112,16 @@ class TestDiskCache:
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(list(cat.all_graphs(6))) == 156
         assert len(path.read_text().splitlines()) == 156  # rewritten
+
+    def test_truncated_girth_level_is_regenerated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        cat._level_adj(7, 5)
+        path = cat._cache_path(("girth", 7, 5))
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert len(list(cat.graphs_with_girth_at_least(7, 5))) == 48
+        assert len(path.read_text().splitlines()) == 48  # rewritten
 
     def test_valid_level_is_not_rewritten(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))

@@ -36,9 +36,10 @@ from wellcover.classify import (
     w_convention_disagreements,
     w_level,
 )
-from wellcover.independence import _alpha, _wc_scan, is_independent
+from wellcover.independence import _alpha, _nbhd, _wc_scan, is_independent
 
 from conftest import graphs
+from oracles import regularizability_by_subsets, wk_monotonicity_by_subsets
 
 
 class TestWellCovered:
@@ -235,6 +236,14 @@ class TestRegularizability:
         assert is_regularizable(complete(2))
         assert not is_regularizable(path(3))
 
+    def test_one_walk_matches_the_definitions(self, catalog_by_n):
+        for n in range(8):
+            for g in catalog_by_n[n]:
+                ctx = GraphContext(g)
+                want = regularizability_by_subsets(g)
+                assert ctx.regularizability == want, g
+                assert (is_quasi_regularizable(ctx), is_regularizable(g)) == want, g
+
 
 class TestLocallyTriangleFree:
     def test_triangle_free_graphs_qualify(self):
@@ -261,6 +270,24 @@ class TestMonotonicity:
         assert not ok
         a, b = witness
         assert a & ~b == 0 and is_independent(complete_bipartite(1, 3), b)
+
+    def test_covering_pairs_match_the_subset_scan(self, catalog_by_n):
+        # same verdict and same first failing B as comparing every subset
+        for n in range(8):
+            for g in catalog_by_n[n]:
+                ctx = GraphContext(g)
+                for k in (1, 2, 3):
+                    ok, witness = check_wk_monotonicity(ctx, k)
+                    want_ok, want = wk_monotonicity_by_subsets(g, k)
+                    assert ok == want_ok, (g, k)
+                    if not ok:
+                        a, b = witness
+                        assert b == want[1] and a & ~b == 0 and a != b, (g, k)
+                        deficiency = [
+                            _nbhd(g.adj, x).bit_count() - (k - 1) * x.bit_count()
+                            for x in (a, b)
+                        ]
+                        assert deficiency[0] > deficiency[1], (g, k)
 
 
 class TestClassReport:

@@ -4,7 +4,7 @@ import pytest
 
 from wellcover import cli
 from wellcover.graph import parse_graph6, write_graph6, cycle
-from wellcover.harness import REGISTRY, Theorem
+from wellcover import harness
 from wellcover.catalog import certificate
 from wellcover.constructions import concatenate
 from wellcover.graph import complete
@@ -113,6 +113,16 @@ class TestSurvey:
         assert wc == [3, 4, 5, 7]
         assert summary["failures"] == []
 
+    @pytest.mark.parametrize("source", ["cycles:3..5", "catalog:connected:1..3", "cycle:5"])
+    def test_generated_sources_skip_graph6(self, capsys, monkeypatch, source):
+        def refuse(*args):
+            raise AssertionError("a generated graph went through graph6")
+
+        monkeypatch.setattr(harness, "parse_graph6", refuse)
+        code, out, _ = run_cli(capsys, "survey", source, "--format", "json")
+        lines = [json.loads(line)["line"] for line in out.strip().splitlines()[:-1]]
+        assert code == 0 and lines == list(range(1, len(lines) + 1)) and lines
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -175,18 +185,13 @@ class TestVerify:
         assert summary["failures"] == []
 
     def test_failure_exits_4(self, capsys, monkeypatch):
-        broken = Theorem(
-            theorem_id="test.always-false",
-            kind="graph",
-            summary="deliberately false statement for exit-code testing",
-            applies=lambda ctx: True,
-            check=lambda ctx: (False, {"reason": "synthetic"}),
-        )
-        monkeypatch.setitem(REGISTRY, "test.always-false", broken)
-        monkeypatch.setattr(
-            "wellcover.harness.GRAPH_THEOREM_IDS",
-            [t.theorem_id for t in REGISTRY.values() if t.kind == "graph"],
-        )
+        # a deliberately false statement, registered on a copy of the registry
+        monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(harness.GRAPH_THEOREMS))
+
+        @harness._theorem("test.always-false", lambda ctx: True)
+        def _always_false(ctx):
+            return False, {"reason": "synthetic"}
+
         code, out, _ = run_cli(capsys, "verify", "cycles:5..5", "--format", "json")
         assert code == 4
 

@@ -17,8 +17,9 @@ from wellcover.graph import (
 )
 from wellcover.harness import (
     GRAPH_THEOREM_IDS,
+    GRAPH_THEOREMS,
     GRID_THEOREM_IDS,
-    REGISTRY,
+    GRID_THEOREMS,
     GraphContext,
     HuntTarget,
     TheoremVerdict,
@@ -74,11 +75,19 @@ class TestRegistry:
         assert set(GRID_THEOREM_IDS) == EXPECTED_GRID_THEOREMS
 
     def test_every_id_has_an_executable_body(self):
-        for tid, theorem in REGISTRY.items():
-            if theorem.kind == "graph":
-                assert callable(theorem.applies) and callable(theorem.check), tid
-            else:
-                assert callable(theorem.run_grid), tid
+        assert GRAPH_THEOREM_IDS == list(GRAPH_THEOREMS)
+        assert GRID_THEOREM_IDS == list(GRID_THEOREMS)
+        for tid, (gate, check) in GRAPH_THEOREMS.items():
+            assert callable(gate) and callable(check), tid
+        for tid, runner in GRID_THEOREMS.items():
+            assert callable(runner), tid
+
+    def test_duplicate_id_rejected(self, monkeypatch):
+        from wellcover import harness
+
+        monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(GRAPH_THEOREMS))
+        with pytest.raises(ValueError, match="duplicate theorem id"):
+            harness._theorem("thm.wk-chain", lambda ctx: True)(lambda ctx: (True, None))
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem id"):

@@ -43,3 +43,13 @@ def test_library_is_stdlib_only():
                 imported.setdefault(name.split(".")[0], path.name)
     outside = {top: where for top, where in imported.items() if top not in allowed}
     assert not outside, outside
+
+
+def test_readme_report_keys_are_the_report_fields():
+    from wellcover import class_report, cycle
+
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^\* report: `\{(.*?)\}`", readme, re.M | re.S)
+    assert block, "README has no report key list"
+    documented = re.findall(r'"(\w+)"', block.group(1))
+    assert documented == list(class_report(cycle(5)).to_json_dict())
