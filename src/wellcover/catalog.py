@@ -167,15 +167,18 @@ def _generate_level(parents: list[tuple[int, ...]], neighborhoods_for) -> list[t
 
 
 def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
-    """Every graph on n vertices (of girth >= ``min_girth`` when that is 3 or
-    more), one per isomorphism class: from memory, else from disk, else
-    generated from level n - 1 and stored.
+    """Every graph on n vertices (of girth >= ``min_girth`` when that is 4 or
+    more; every graph has girth >= 3), one per isomorphism class: from
+    memory, else from disk, else generated from level n - 1 and stored.
 
     A level with a known count (``KNOWN_LEVEL_COUNTS``) is checked on disk
     load as well as after generation; a disk level of the wrong size is
     regenerated and rewritten.
     """
-    key = ("all", n) if min_girth < 3 else ("girth", n, min_girth)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    min_girth = 0 if min_girth <= 3 else min_girth
+    key = ("all", n) if min_girth == 0 else ("girth", n, min_girth)
     level = _mem_cache.get(key)
     if level is not None:
         return level
@@ -185,7 +188,7 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
     if level is None or (expected is not None and len(level) != expected):
         if n == 0:
             level = [()]
-        elif min_girth < 3:
+        elif min_girth == 0:
             subsets = range(1 << (n - 1))
             level = _generate_level(_level_adj(n - 1), lambda padj: subsets)
         else:
@@ -275,12 +278,7 @@ def _girth_neighborhoods(padj: tuple[int, ...], min_girth: int) -> list[int]:
 
 def all_graphs(n: int, connected: bool = False):
     """All graphs on exactly n vertices, one per isomorphism class."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    for adj in _level_adj(n):
-        if connected and not _is_connected_adj(adj):
-            continue
-        yield Graph._raw(n, adj)
+    return graphs_with_girth_at_least(n, 0, connected)
 
 
 def graphs_up_to(n: int, connected: bool = False, min_n: int = 1):
@@ -291,9 +289,6 @@ def graphs_up_to(n: int, connected: bool = False, min_n: int = 1):
 
 def graphs_with_girth_at_least(n: int, min_girth: int, connected: bool = False):
     """Graphs on exactly n vertices with girth >= min_girth (forests included)."""
-    if min_girth < 3:
-        yield from all_graphs(n, connected=connected)
-        return
     for adj in _level_adj(n, min_girth):
         if connected and not _is_connected_adj(adj):
             continue

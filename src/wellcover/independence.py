@@ -2,17 +2,13 @@
 number, independent-set enlargement, set and graph differentials, and matching
 tests (saturating matchings into a target set, maximum matching size).
 
-Everything is exact; caps on exhaustive scans are hard errors rather than
-silent truncation.  The private helpers work on (adjacency tuple, vertex mask)
-pairs so subgraph quantities never pay for relabeling.
+The private helpers work on (adjacency tuple, vertex mask) pairs so subgraph
+quantities never pay for relabeling.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, _check_mask, iter_bits
-
-DIFFERENTIAL_MAX_N = 24  # exhaustive subset scan cap
-
 
 # ---------------------------------------------------------------------------
 # core enumeration on (adj, mask)
@@ -205,34 +201,39 @@ def differential_of_set(g: Graph, a_mask: int) -> int:
 
 
 def differential_of_graph(g: Graph) -> int:
-    """Maximum of the set differential over all vertex subsets (>= 0, by the
-    empty set).  Exhaustive scan, capped at n <= 24."""
-    n = g.n
-    if n > DIFFERENTIAL_MAX_N:
-        raise ValueError(
-            f"differential_of_graph scans all subsets and is capped at n <= {DIFFERENTIAL_MAX_N}"
-        )
-    if n == 0:
-        return 0
-    # meet-in-the-middle neighborhood tables: N(A) = N(A_low) | N(A_high)
-    h = n // 2
-    low_mask = (1 << h) - 1
-    adj = g.adj
-    nlow = [0] * (1 << h)
-    for m in range(1, 1 << h):
-        b = m & -m
-        nlow[m] = nlow[m ^ b] | adj[b.bit_length() - 1]
-    nhigh = [0] * (1 << (n - h))
-    for m in range(1, 1 << (n - h)):
-        b = m & -m
-        nhigh[m] = nhigh[m ^ b] | adj[h + b.bit_length() - 1]
-    best = 0
-    for a in range(1, 1 << n):
-        nb = nlow[a & low_mask] | nhigh[a >> h]
-        d = (nb & ~a).bit_count() - a.bit_count()
-        if d > best:
-            best = d
-    return best
+    """Maximum of |N(A) - A| - |A| = |N[A]| - 2|A| over all vertex sets A
+    (>= 0, by the empty set), by dynamic programming over the vertices.
+
+    Each step decides the vertex whose closed neighborhood adds the fewest
+    vertices to the touched set, keeping the best value per covered set of
+    the live vertices (touched, not retired); a vertex retires once its
+    closed neighborhood is decided, its covered bit moving into the value.
+    """
+    closed = [row | (1 << v) for v, row in enumerate(g.adj)]
+    states = {0: 0}
+    undecided, touched = g.full_mask, 0
+    while undecided:
+        v, least = -1, g.n + 1
+        for u in iter_bits(undecided):
+            grow = (closed[u] & ~touched).bit_count()
+            if grow < least:
+                v, least = u, grow
+        nv = closed[v]
+        undecided ^= 1 << v
+        touched |= nv
+        done = sum(1 << u for u in iter_bits(nv) if not closed[u] & undecided)
+        keep = ~done
+        nxt: dict[int, int] = {}
+        for cov, val in states.items():
+            key, value = cov & keep, val + (cov & done).bit_count()
+            if nxt.get(key, value - 1) < value:
+                nxt[key] = value
+            cov |= nv
+            key, value = cov & keep, val - 2 + (cov & done).bit_count()
+            if nxt.get(key, value - 1) < value:
+                nxt[key] = value
+        states = nxt
+    return states[0]
 
 
 def can_match_into(g: Graph, a_mask: int, b_mask: int) -> bool:

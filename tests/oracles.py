@@ -49,6 +49,30 @@ def matching_size_brute_force(g: Graph) -> int:
     return best
 
 
+def differential_by_subsets(g: Graph) -> int:
+    """Maximum of |N(A) - A| - |A| over every vertex subset A, scanning all
+    2^n subsets; N(A) is read from tables of the neighborhoods of the
+    subsets of the low and the high half of the vertices."""
+    n = g.n
+    h = n // 2
+    nlow = [0] * (1 << h)
+    for m in range(1, 1 << h):
+        b = m & -m
+        nlow[m] = nlow[m ^ b] | g.adj[b.bit_length() - 1]
+    nhigh = [0] * (1 << (n - h))
+    for m in range(1, 1 << (n - h)):
+        b = m & -m
+        nhigh[m] = nhigh[m ^ b] | g.adj[h + b.bit_length() - 1]
+    low_mask = (1 << h) - 1
+    best = 0
+    for a in range(1, 1 << n):
+        nb = nlow[a & low_mask] | nhigh[a >> h]
+        d = (nb & ~a).bit_count() - a.bit_count()
+        if d > best:
+            best = d
+    return best
+
+
 def roman_domination_number(g: Graph) -> int:
     """Least weight sum(f) over f: V -> {0, 1, 2} in which every vertex with
     f = 0 has a neighbor with f = 2 (Cockayne et al., Discrete Math. 278,

@@ -123,6 +123,15 @@ class TestDiskCache:
         assert len(list(cat.graphs_with_girth_at_least(7, 5))) == 48
         assert len(path.read_text().splitlines()) == 48  # rewritten
 
+    def test_girth_three_reads_the_full_level(self, tmp_path, monkeypatch):
+        # every graph has girth >= 3, so no second catalog is built for it
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        girth3 = list(cat.graphs_with_girth_at_least(7, 3))
+        assert [g.adj for g in girth3] == [g.adj for g in cat.all_graphs(7)]
+        assert cat._level_adj(7, 3) is cat._level_adj(7)
+        assert not list(tmp_path.glob("*girth*"))
+
     def test_valid_level_is_not_rewritten(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})

@@ -35,6 +35,13 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "biclique:2x3", "--format", "json")
         assert json.loads(out)["alpha"] == 3
 
+    @pytest.mark.parametrize("spec, expected", [("cycle:25", 8), ("biclique:12x13", 21)])
+    def test_order_25_differential(self, capsys, spec, expected):
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 25 and doc["differential"] == expected
+
     def test_inline_graph6(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "A_", "--format", "json")
         assert json.loads(out)["n"] == 2

@@ -1,7 +1,12 @@
+import os
+import random
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from wellcover import catalog as cat
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -28,7 +33,11 @@ from wellcover.independence import (
 )
 
 from conftest import graphs
-from oracles import matching_size_brute_force, roman_domination_number
+from oracles import (
+    differential_by_subsets,
+    matching_size_brute_force,
+    roman_domination_number,
+)
 
 
 def all_subsets_maximal(g):
@@ -158,28 +167,58 @@ class TestDifferential:
         assert differential_of_graph(cycle(9)) == 3
 
     def test_matches_naive_scan(self, catalog_by_n):
-        def naive(g):
-            best = 0
-            for a in range(1 << g.n):
-                nb = 0
-                for v in iter_bits(a):
-                    nb |= g.adj[v]
-                best = max(best, (nb & ~a).bit_count() - a.bit_count())
-            return best
+        for n in range(9):
+            graphs_n = catalog_by_n[n] if n in catalog_by_n else cat.all_graphs(n)
+            for g in graphs_n:
+                assert differential_of_graph(g) == differential_by_subsets(g), g
 
-        for g in catalog_by_n[6][::5]:
-            assert differential_of_graph(g) == naive(g)
+    def test_matches_subset_scan_on_relabeled_random_graphs(self):
+        # shuffled labels, so the DP meets vertex orders unrelated to the
+        # labeling
+        rng = random.Random(20261018)
+        for n in range(9, 21):
+            for _ in range(3):
+                p = rng.choice((0.1, 0.2, 0.35, 0.5))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                edges = [
+                    (perm[u], perm[v])
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if rng.random() < p
+                ]
+                g = Graph(n, edges)
+                assert differential_of_graph(g) == differential_by_subsets(g), g
+
+    def test_relabeled_long_cycle_is_fast(self):
+        # taken in label order, this relabeled C40 peaks at 3.7 million
+        # states (about 12 s); the min-growth order keeps a handful
+        perm = list(range(40))
+        random.Random(7).shuffle(perm)
+        g = Graph(40, [(perm[i], perm[(i + 1) % 40]) for i in range(40)])
+        t0 = time.perf_counter()
+        assert differential_of_graph(g) == 40 // 3
+        assert time.perf_counter() - t0 < 0.5
 
     def test_equals_order_minus_roman_domination(self, catalog_by_n):
         # the differential is n - gamma_R (Bermudo, Fernau & Sigarreta 2014),
-        # checked against a brute-force Roman domination number
-        for n in range(1, 8):
-            for g in catalog_by_n[n]:
+        # checked against a brute-force Roman domination number; order 8
+        # (about 15 s more) runs with WELLCOVER_ACCEPT_N8=1
+        max_n = 8 if os.environ.get("WELLCOVER_ACCEPT_N8") == "1" else 7
+        for n in range(1, max_n + 1):
+            graphs_n = catalog_by_n[n] if n in catalog_by_n else cat.all_graphs(n)
+            for g in graphs_n:
                 assert differential_of_graph(g) == n - roman_domination_number(g), g
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="n <= 24"):
-            differential_of_graph(empty_graph(25))
+    def test_order_25_values(self):
+        assert differential_of_graph(empty_graph(25)) == 0
+        assert differential_of_graph(cycle(25)) == 8
+        # K_{p,q}: max(max(p, q) - 1, p + q - 4), see "Decisions" in README.md
+        for p in range(1, 14):
+            for q in range(p, 14):
+                expected = max(q - 1, p + q - 4)
+                assert differential_of_graph(complete_bipartite(p, q)) == expected, (p, q)
+        assert differential_of_graph(complete_bipartite(12, 13)) == 21
 
 
 class TestMatching:
