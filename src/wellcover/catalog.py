@@ -1,28 +1,34 @@
 """Exhaustive catalogs of small graphs up to isomorphism.
 
-Catalogs are produced by vertex augmentation: every graph on n vertices arises
-from a graph on n-1 vertices by attaching one new vertex, so extending every
-(n-1)-representative by every neighborhood subset and deduplicating with an
-isomorphism-invariant certificate enumerates each isomorphism class exactly
-once.  The certificate is computed by color refinement plus individualization
-with interchangeable-vertex skipping, which stays fast on the symmetric graphs
+Catalogs are produced by minimum-degree vertex augmentation: deleting a vertex
+of minimum degree from a graph on n vertices leaves a graph on n-1 vertices,
+so extending every (n-1)-representative by every neighborhood that leaves the
+new vertex of minimum degree reaches every isomorphism class.  A class is
+represented by its canonical form, the relabeled adjacency that
+``certificate`` computes, so a level is the sorted set of its children's
+canonical forms and does not depend on which child reached a class first.
+The certificate is computed by color refinement plus individualization with
+interchangeable-vertex skipping, which stays fast on the symmetric graphs
 that defeat naive permutation schemes.
 
 Generated catalogs are cached in memory and, optionally, on disk (graph6
-lines) under ``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
+lines, with their CRC-32 checksum in a ``.crc32`` file beside them) under
+``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
 ``WELLCOVER_CACHE_DIR=off`` to disable the disk layer.  Generation is
-deterministic, so the cache is a pure memo; a disk level whose size differs
-from its known count is regenerated.
+deterministic, so the cache is a pure memo; a disk level whose checksum is
+missing or wrong, or whose size differs from its known count, is regenerated
+and rewritten.
 """
 
 from __future__ import annotations
 
+import binascii
 import os
 from pathlib import Path
 
-from .graph import Graph, iter_bits, parse_graph6, write_graph6
+from .graph import Graph, is_connected, iter_bits, neighborhood, parse_graph6, write_graph6
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
 
 # number of graphs / connected graphs on n vertices, used to check generated
@@ -78,7 +84,8 @@ def certificate(adj: tuple[int, ...]) -> tuple:
     Two adjacency tuples have equal certificates iff the graphs are
     isomorphic.  The value is the lexicographically greatest relabeled
     adjacency tuple over the orders explored by refinement plus
-    individualization, which is a canonical representative.
+    individualization: ``certificate(adj)[1:]`` is the canonical form that
+    represents the class in catalog levels and hunt censuses.
     """
     n = len(adj)
     if n == 0:
@@ -143,37 +150,43 @@ def certificate(adj: tuple[int, ...]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _children(padj: tuple[int, ...], allowed_neighborhoods) -> list[tuple[int, ...]]:
+def _children(padj: tuple[int, ...], neighborhoods):
+    """Each child of ``padj`` whose new vertex, attached to one of
+    ``neighborhoods``, has minimum degree in the child."""
     k = len(padj)
     top = 1 << k
-    out = []
-    for nb in allowed_neighborhoods:
+    low = min((row.bit_count() for row in padj), default=0)
+    lowest = sum(1 << v for v in range(k) if padj[v].bit_count() == low)
+    for nb in neighborhoods:
+        d = nb.bit_count()
+        # a vertex of degree `low` outside nb would have a smaller degree
+        if d > low and (d > low + 1 or nb & lowest != lowest):
+            continue
         rows = list(padj)
         for v in iter_bits(nb):
             rows[v] |= top
         rows.append(nb)
-        out.append(tuple(rows))
-    return out
+        yield tuple(rows)
 
 
-def _generate_level(parents: list[tuple[int, ...]], neighborhoods_for) -> list[tuple[int, ...]]:
-    seen = {}
-    for padj in parents:
-        for cadj in _children(padj, neighborhoods_for(padj)):
-            cert = certificate(cadj)
-            if cert not in seen:
-                seen[cert] = cadj
-    return [seen[c] for c in sorted(seen)]
+def canonical_forms(adjs) -> list[tuple[int, ...]]:
+    """The canonical form of each isomorphism class among the adjacency
+    tuples ``adjs``, in certificate order: the representatives of catalog
+    levels and hunt censuses."""
+    return [cert[1:] for cert in sorted({certificate(adj) for adj in adjs})]
 
 
 def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
     """Every graph on n vertices (of girth >= ``min_girth`` when that is 4 or
-    more; every graph has girth >= 3), one per isomorphism class: from
-    memory, else from disk, else generated from level n - 1 and stored.
+    more; every graph has girth >= 3), one canonical form per isomorphism
+    class in certificate order: from memory, else from disk, else generated
+    by minimum-degree augmentation of level n - 1 and stored.  Girth >=
+    ``min_girth`` survives vertex deletion, so girth levels are generated
+    from girth levels.
 
     A level with a known count (``KNOWN_LEVEL_COUNTS``) is checked on disk
-    load as well as after generation; a disk level of the wrong size is
-    regenerated and rewritten.
+    load as well as after generation; a disk level of the wrong size, or
+    whose checksum is missing or wrong, is regenerated and rewritten.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -188,12 +201,11 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
     if level is None or (expected is not None and len(level) != expected):
         if n == 0:
             level = [()]
-        elif min_girth == 0:
-            subsets = range(1 << (n - 1))
-            level = _generate_level(_level_adj(n - 1), lambda padj: subsets)
         else:
-            level = _generate_level(
-                _level_adj(n - 1, min_girth), lambda padj: _girth_neighborhoods(padj, min_girth)
+            level = canonical_forms(
+                cadj
+                for padj in _level_adj(n - 1, min_girth)
+                for cadj in _children(padj, _neighborhoods(padj, min_girth))
             )
         if expected is not None and len(level) != expected:
             raise AssertionError(
@@ -204,62 +216,23 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
     return level
 
 
-def _is_connected_adj(adj: tuple[int, ...]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        m = frontier
-        while m:
-            b = m & -m
-            grow |= adj[b.bit_length() - 1]
-            m ^= b
-        frontier = grow & ~comp
-        comp |= frontier
-    return comp == (1 << n) - 1
-
-
-def _distances(adj: tuple[int, ...]) -> list[list[int]]:
-    n = len(adj)
-    inf = n + 10
-    dist = [[inf] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in iter_bits(adj[v]):
-                if row[u] > row[v] + 1:
-                    row[u] = row[v] + 1
-                    queue.append(u)
-    return dist
-
-
-def _girth_neighborhoods(padj: tuple[int, ...], min_girth: int) -> list[int]:
-    """Neighborhood subsets whose addition keeps every cycle >= min_girth.
+def _neighborhoods(padj: tuple[int, ...], min_girth: int):
+    """Neighborhood subsets whose addition keeps every cycle >= min_girth
+    (every subset when min_girth is 0).
 
     A new cycle runs through the new vertex via two chosen neighbors a, b and
     has length dist(a, b) + 2, so chosen neighbors must be pairwise at
-    distance >= min_girth - 2 in the parent.
+    distance >= min_girth - 2 in the parent: outside each other's ball of
+    radius min_girth - 3.
     """
     k = len(padj)
-    if k == 0:
-        return [0]
-    dist = _distances(padj)
-    need = min_girth - 2
-    compatible = []
-    for v in range(k):
-        row = 0
-        for u in range(k):
-            if u != v and dist[v][u] >= need:
-                row |= 1 << u
-        compatible.append(row)
+    if min_girth == 0:
+        return range(1 << k)
+    parent = Graph._raw(k, padj)
+    balls = [1 << v for v in range(k)]
+    for _ in range(min_girth - 3):
+        balls = [ball | neighborhood(parent, ball) for ball in balls]
+    compatible = [((1 << k) - 1) & ~ball for ball in balls]
     out = []
 
     def grow(mask: int, candidates: int):
@@ -290,9 +263,9 @@ def graphs_up_to(n: int, connected: bool = False, min_n: int = 1):
 def graphs_with_girth_at_least(n: int, min_girth: int, connected: bool = False):
     """Graphs on exactly n vertices with girth >= min_girth (forests included)."""
     for adj in _level_adj(n, min_girth):
-        if connected and not _is_connected_adj(adj):
-            continue
-        yield Graph._raw(n, adj)
+        g = Graph._raw(n, adj)
+        if not connected or is_connected(g):
+            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +291,44 @@ def _cache_path(key: tuple) -> Path | None:
     return base / f"catalog-v{_CACHE_VERSION}-{name}.g6"
 
 
+def _checksum(crc: int) -> bytes:
+    # CRC-32 detects accidental damage to a level; binascii is loaded anyway,
+    # while hashlib loads OpenSSL, about 3.5 MB more resident memory per process
+    return b"%08x\n" % crc
+
+
 def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
+    """The cached level, or None when it is absent, unreadable or its
+    checksum file is missing or does not match."""
     path = _cache_path(key)
-    if path is None or not path.is_file():
+    if path is None:
         return None
     try:
-        out = []
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(parse_graph6(line).adj)
-        return out
+        crc, level = 0, []
+        with path.open("rb") as fh:
+            for line in fh:  # line by line, so the file is never held whole
+                crc = binascii.crc32(line, crc)
+                level.append(parse_graph6(line.decode()).adj)
+        if path.with_suffix(".crc32").read_bytes() != _checksum(crc):
+            return None
+        return level
     except (OSError, ValueError):
         return None
 
 
 def _disk_store(key: tuple, level: list[tuple[int, ...]]):
+    """Write the level and its checksum file, each replaced atomically."""
     path = _cache_path(key)
     if path is None:
         return
+    n = int(key[1])
+    data = "".join(write_graph6(Graph._raw(n, adj)) + "\n" for adj in level).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w") as fh:
-            n = int(key[1])
-            for adj in level:
-                fh.write(write_graph6(Graph._raw(n, adj)))
-                fh.write("\n")
-        tmp.replace(path)
+        checksum = _checksum(binascii.crc32(data))
+        for target, content in ((path, data), (path.with_suffix(".crc32"), checksum)):
+            tmp = target.with_name(target.name + ".tmp")
+            tmp.write_bytes(content)
+            tmp.replace(target)
     except OSError:
         pass

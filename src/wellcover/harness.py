@@ -1108,15 +1108,6 @@ class HuntReport:
         }
 
 
-def _dedup_canonical(graphs) -> list[Graph]:
-    seen = {}
-    for g in graphs:
-        key = cat.certificate(g.adj)
-        if key not in seen:
-            seen[key] = g
-    return [seen[k] for k in sorted(seen)]
-
-
 def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntReport:
     """Run one hunt target over a stream of graph6 lines or ``Graph`` objects
     (the same reader as ``survey_catalog``) or, by default, the
@@ -1124,9 +1115,10 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
     skipped, and so are disconnected ones when ``connected_only``; a
     malformed line raises ``Graph6Error``.
 
-    Problem targets emit the canonically deduplicated census of graphs
-    satisfying the problem predicate; the conjecture target reports any
-    concatenation dropping more than one hierarchy level.
+    Problem targets emit the census of graphs satisfying the problem
+    predicate, one canonical form per isomorphism class in certificate
+    order; the conjecture target reports any concatenation dropping more
+    than one hierarchy level.
     """
     t0 = time.perf_counter()
     report = HuntReport(
@@ -1162,8 +1154,9 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
         for g in graphs:
             report.checked += 1
             if g.n >= 1 and predicate(GraphContext(g)):
-                hits.append(g)
-        for g in _dedup_canonical(hits):
+                hits.append(g.adj)
+        for adj in cat.canonical_forms(hits):
+            g = Graph._raw(len(adj), adj)
             report.entries.append(
                 {"graph": write_graph6(g), "n": g.n, "connected": is_connected(g)}
             )

@@ -29,6 +29,7 @@ from wellcover.graph import (
     disjoint_union,
     empty_graph,
     is_bipartite,
+    is_connected,
     mask_of,
     parse_graph6,
     path,
@@ -170,11 +171,11 @@ def test_criterion_06_order_extremal():
     for n in range(1, 10):
         full = (1 << n) - 1
         for adj in cat._level_adj(n):
-            if not cat._is_connected_adj(adj):
+            g = Graph._raw(n, adj)
+            if not is_connected(g):
                 continue
             if not _wc_scan(adj, full)[0]:
                 continue
-            g = Graph._raw(n, adj)
             if not is_in_w(g, 2):
                 continue
             alpha = independence_number(g)

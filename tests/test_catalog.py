@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcover import catalog as cat
-from wellcover.graph import Graph, girth, is_connected
+from wellcover.graph import Graph, girth, is_connected, parse_graph6
 
 from conftest import graphs
 from oracles import brute_force_canonical
@@ -75,14 +75,21 @@ class TestGeneration:
         assert len(out) == 1 + 1 + 2 + 6
 
     def test_girth_catalogs_match_filtering(self):
+        # both are canonical forms in certificate order, so they are equal as
+        # adjacency lists, not merely as classes
         for gmin in (4, 5, 6):
             for n in range(8):
-                generated = list(cat.graphs_with_girth_at_least(n, gmin))
-                filtered = [g for g in cat.all_graphs(n) if girth(g) >= gmin]
-                assert len(generated) == len(filtered), (gmin, n)
-                assert {cat.certificate(g.adj) for g in generated} == {
-                    cat.certificate(g.adj) for g in filtered
-                }
+                generated = [g.adj for g in cat.graphs_with_girth_at_least(n, gmin)]
+                filtered = [g.adj for g in cat.all_graphs(n) if girth(g) >= gmin]
+                assert generated == filtered, (gmin, n)
+
+    def test_representatives_are_canonical_forms(self):
+        levels = [cat._level_adj(n) for n in range(9)]
+        levels += [cat._level_adj(n, gmin) for gmin in (4, 5, 6) for n in range(10)]
+        for level in levels:
+            assert level == sorted(level)
+            for adj in level:
+                assert cat.certificate(adj)[1:] == adj
 
     def test_girth_catalog_members_are_valid(self):
         for g in cat.graphs_with_girth_at_least(9, 6, connected=True):
@@ -141,6 +148,53 @@ class TestDiskCache:
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(cat._level_adj(6)) == 156
         assert (path.stat().st_ino, path.stat().st_mtime_ns) == stamp
+
+    def test_level_with_wrong_checksum_is_regenerated(self, tmp_path, monkeypatch):
+        # swapping one line for another order-6 graph keeps the count, so
+        # only the checksum tells the level is damaged
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        level = cat._level_adj(6)
+        path = cat._cache_path(("all", 6))
+        lines = path.read_text().splitlines()
+        lines[5] = lines[6]
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert cat._level_adj(6) == level
+        assert path.read_text().splitlines()[5] != lines[6]  # rewritten
+
+    def test_level_without_checksum_is_regenerated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        level = cat._level_adj(5)
+        checksum = cat._cache_path(("all", 5)).with_suffix(".crc32")
+        checksum.unlink()
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert cat._level_adj(5) == level
+        assert checksum.is_file()
+
+    def test_cache_files_hold_only_graph6_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        cat._level_adj(5)
+        for path in tmp_path.glob("*.g6"):
+            lines = path.read_text().splitlines()
+            n = int(path.stem.rsplit("-", 1)[1])
+            assert [parse_graph6(line).n for line in lines] == [n] * len(lines)
+
+    def test_version_one_files_are_ignored(self, tmp_path, monkeypatch):
+        # a v1 level holds other representatives: it is neither read nor
+        # rewritten
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        old = tmp_path / "catalog-v1-all-4.g6"
+        old.write_text("C?\n" * 11)
+        stamp = (old.stat().st_ino, old.stat().st_mtime_ns)
+        level = cat._level_adj(4)
+        assert len(set(level)) == 11
+        assert cat._cache_path(("all", 4)).name == "catalog-v2-all-4.g6"
+        assert old.read_text() == "C?\n" * 11
+        assert (old.stat().st_ino, old.stat().st_mtime_ns) == stamp
 
     def test_cache_off(self, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from wellcover import catalog as cat
 from wellcover.classify import class_report
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
+    Graph,
     Graph6Error,
     complete,
     complete_bipartite,
@@ -347,6 +349,23 @@ class TestHunt:
         )
         assert sorted(e["n"] for e in report.entries) == [4, 7]
 
+    def test_census_does_not_depend_on_labelling(self):
+        # a shuffled, relabelled stream of the catalog gives the same
+        # entries: each is the canonical form of its class
+        target = HuntTarget("problem.no-shedding", max_n=7)
+        rng = random.Random(7)
+        stream = []
+        for g in cat.graphs_up_to(7):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            stream.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        rng.shuffle(stream)
+        expected = hunt(target).entries
+        assert hunt(target, source=stream).entries == expected
+        for e in expected:
+            adj = parse_graph6(e["graph"]).adj
+            assert cat.certificate(adj)[1:] == adj
+
     def test_malformed_stream_line_raises(self):
         with pytest.raises(Graph6Error):
             hunt(HuntTarget("problem.no-shedding", max_n=5), source=["Bw", "", "!!"])
@@ -456,7 +475,7 @@ class TestLargeBoundInvariants:
         assert not failures, failures[:3]
 
     def test_hartnell_to_order_nine(self):
-        from wellcover.graph import Graph, has_four_cycle
+        from wellcover.graph import has_four_cycle, is_connected
         from wellcover.independence import _wc_scan
         from wellcover.classify import is_in_w
 
@@ -464,10 +483,8 @@ class TestLargeBoundInvariants:
         for n in range(1, 10):
             full = (1 << n) - 1
             for adj in cat._level_adj(n):
-                if not cat._is_connected_adj(adj):
-                    continue
                 g = Graph._raw(n, adj)
-                if has_four_cycle(g):
+                if not is_connected(g) or has_four_cycle(g):
                     continue
                 # only level-2 members need the family test; they are rare
                 if not _wc_scan(adj, full)[0] or not is_in_w(g, 2):
