@@ -507,6 +507,28 @@ class GraphContext:
     def simplex_partition(self):
         return simplex_partition(self)
 
+    def clique_corona(self, m: int) -> bool:
+        """Whether the graph is a corona H o K_m of some nonempty H (m >= 1).
+
+        Its blocks are the cliques Q of m + 1 vertices holding at least m
+        vertices u with N[u] = Q: such a Q is a simplex, and in a corona a
+        vertex whose closed neighborhood has m + 1 vertices has its block as
+        that neighborhood.  So G is a corona iff these simplexes partition V;
+        H is then induced on the one vertex of each block that may have
+        neighbors outside it.
+        """
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        union = 0
+        for s in self.simplexes:
+            if s.bit_count() != m + 1:
+                continue
+            if sum(self.adj[u] | 1 << u == s for u in iter_bits(s)) >= m:
+                if union & s:
+                    return False
+                union |= s
+        return self.g.n > 0 and union == self.full
+
     @cached_property
     def mu(self) -> int:
         return maximum_matching_size(self.g)

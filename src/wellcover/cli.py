@@ -38,6 +38,7 @@ from .graph import (
 )
 from .harness import (
     GRID_THEOREM_IDS,
+    HUNT_MAX_N,
     HUNT_TARGET_IDS,
     HuntTarget,
     SCHEMA_VERSION,
@@ -80,10 +81,11 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def _parse_range(arg: str) -> tuple[int, int]:
-    if ".." in arg:
-        lo, _, hi = arg.partition("..")
-        return int(lo), int(hi)
-    return int(arg), int(arg)
+    lo, dots, hi = arg.partition("..")
+    lo, hi = int(lo), int(hi if dots else lo)
+    if not 0 <= lo <= hi:
+        raise UsageError(f"range {arg!r} is reversed or negative")
+    return lo, hi
 
 
 def iter_source_lines(source: str, input_path: str | None):
@@ -110,6 +112,8 @@ def iter_source_lines(source: str, input_path: str | None):
             if connected:
                 arg = arg[len("connected:"):]
             lo, hi = _parse_range(arg)
+            if hi > HUNT_MAX_N:
+                raise UsageError(f"catalog streams are capped at n <= {HUNT_MAX_N}")
             return cat.graphs_up_to(hi, connected=connected, min_n=lo)
         # single-graph generator specs work as one-graph streams
         return [parse_graph_spec(where)]

@@ -283,11 +283,6 @@ def neighborhood(g: Graph, a_mask: int) -> int:
     return nb
 
 
-def closed_neighborhood(g: Graph, a_mask: int) -> int:
-    """Closed neighborhood N[A] = N(A) | A."""
-    return neighborhood(g, a_mask) | a_mask
-
-
 def induced(g: Graph, keep_mask: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the vertices of ``keep_mask``.
 
@@ -313,19 +308,6 @@ def delete_vertices(g: Graph, drop_mask: int) -> tuple[Graph, tuple[int, ...]]:
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     _check_vertex(g, v)
     return induced(g, g.full_mask ^ (1 << v))
-
-
-def g_ab(g: Graph, a: int, b: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on V - (N(a) | N(b)) for an edge ab.
-
-    Both endpoints vanish (each lies in the other's neighborhood); a vertex
-    adjacent to neither endpoint survives.
-    """
-    _check_vertex(g, a)
-    _check_vertex(g, b)
-    if not g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is not an edge")
-    return induced(g, g.full_mask & ~(g.adj[a] | g.adj[b]))
 
 
 def _check_vertex(g: Graph, v: int):

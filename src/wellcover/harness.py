@@ -634,37 +634,19 @@ def _chk_berge(ctx):
     return True, None
 
 
-def _is_corona_of(g: Graph, attach: Graph) -> bool:
-    """Whether g is (isomorphic to) some base graph with ``attach`` hung on
-    every vertex."""
-    t = attach.n + 1
-    if g.n == 0 or g.n % t:
-        return False
-    target = cat.certificate(g.adj)
-    for base in cat.all_graphs(g.n // t):
-        if cat.certificate(corona_uniform(base, attach).adj) == target:
-            return True
-    return False
-
-
 @_theorem("thm.girth6-wc-corona", _girth6_gate)
 def _chk_girth6_corona(ctx):
     """Connected well-covered graphs of girth >= 6 are pendant coronas (known
     exceptions aside).  Hypotheses: connected, girth >= 6, not the 7-cycle,
     more than one vertex."""
-    return _agree(
-        well_covered=ctx.well_covered, pendant_corona=_is_corona_of(ctx.g, complete(1))
-    )
+    return _agree(well_covered=ctx.well_covered, pendant_corona=ctx.clique_corona(1))
 
 
 @_theorem("thm.girth5-vwc-corona", _girth5_gate)
 def _chk_girth5_corona(ctx):
     """Connected very well-covered graphs of girth >= 5 are pendant coronas.
     Hypotheses: connected, girth >= 5."""
-    return _agree(
-        very_well_covered=ctx.very_well_covered,
-        pendant_corona=_is_corona_of(ctx.g, complete(1)),
-    )
+    return _agree(very_well_covered=ctx.very_well_covered, pendant_corona=ctx.clique_corona(1))
 
 
 @_theorem("thm.hartnell-c4free", _hartnell_gate)
@@ -673,9 +655,7 @@ def _chk_hartnell(ctx):
     5-cycle, or an edge corona.  Hypotheses: connected, no 4-cycle."""
     return _agree(
         w2=ctx.w2,
-        k2_c5_or_edge_corona=ctx.is_k2()
-        or ctx.is_cycle_of(5)
-        or _is_corona_of(ctx.g, complete(2)),
+        k2_c5_or_edge_corona=ctx.is_k2() or ctx.is_cycle_of(5) or ctx.clique_corona(2),
     )
 
 
@@ -1059,9 +1039,10 @@ _HUNT_PREDICATES = {
 
 HUNT_TARGET_IDS = ("conjecture.wk-concat", *_HUNT_PREDICATES)
 
-# Largest order a hunt searches.  The default source generates and caches every
-# graph up to max_n in memory: 12,005,168 graphs of order 10 alone, and about
-# 10^9 of order 11.  Deduplication (catalog.certificate) has no cap of its own.
+# Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
+# The catalog generates and caches every graph up to that order in memory:
+# 12,005,168 graphs of order 10 alone, and about 10^9 of order 11.
+# Deduplication (catalog.certificate) has no cap of its own.
 HUNT_MAX_N = 10
 
 

@@ -1,5 +1,5 @@
 """Exact independence machinery: maximal independent sets, the independence
-number, independent-set enlargement, set and graph differentials, and matching
+number, independent-set enlargement, the graph differential, and matching
 tests (saturating matchings into a target set, maximum matching size).
 
 The private helpers work on (adjacency tuple, vertex mask) pairs so subgraph
@@ -175,11 +175,6 @@ def maximum_independent_sets(g: Graph) -> list[int]:
     return [s for s in sets if s.bit_count() == alpha]
 
 
-def is_independent(g: Graph, s_mask: int) -> bool:
-    _check_mask(g, s_mask)
-    return _is_independent(g.adj, s_mask)
-
-
 def epsilon(g: Graph, a_mask: int) -> int:
     """Largest size of an independent set containing ``a_mask``.
 
@@ -191,13 +186,6 @@ def epsilon(g: Graph, a_mask: int) -> int:
         raise ValueError("enlargement strength is defined for independent sets only")
     closed = _nbhd(g.adj, a_mask) | a_mask
     return a_mask.bit_count() + _alpha(g.adj, g.full_mask & ~closed)
-
-
-def differential_of_set(g: Graph, a_mask: int) -> int:
-    """|N(A) - A| - |A|; may be negative."""
-    _check_mask(g, a_mask)
-    nb = _nbhd(g.adj, a_mask)
-    return (nb & ~a_mask).bit_count() - a_mask.bit_count()
 
 
 def differential_of_graph(g: Graph) -> int:

@@ -4,6 +4,8 @@ no code with the routine it checks."""
 
 from itertools import permutations, product
 
+from wellcover import catalog as cat
+from wellcover.constructions import corona_uniform
 from wellcover.graph import Graph, iter_bits, write_graph6
 
 
@@ -91,14 +93,15 @@ def roman_domination_number(g: Graph) -> int:
     return best
 
 
+def is_independent(g: Graph, s: int) -> bool:
+    """No vertex of ``s`` has a neighbor in ``s``."""
+    return all(not g.adj[v] & s for v in iter_bits(s))
+
+
 def _independent_subsets(g: Graph) -> list[int]:
     """Every independent vertex set, ascending as bitmasks, by testing each
     of the 2^n subsets."""
-    return [
-        s
-        for s in range(1 << g.n)
-        if all(not g.adj[v] & s for v in iter_bits(s))
-    ]
+    return [s for s in range(1 << g.n) if is_independent(g, s)]
 
 
 def _neighborhood(g: Graph, s: int) -> int:
@@ -138,3 +141,17 @@ def regularizability_by_subsets(g: Graph) -> tuple[bool, bool]:
         elif nb.bit_count() == s.bit_count() and _neighborhood(g, nb) != s:
             regular = False
     return quasi, quasi and regular
+
+
+def _is_corona_of(g: Graph, attach: Graph) -> bool:
+    """Whether g is (isomorphic to) some base graph with ``attach`` hung on
+    every vertex, by comparing certificates with the corona of every base
+    in the catalog level of order n / (|attach| + 1)."""
+    t = attach.n + 1
+    if g.n == 0 or g.n % t:
+        return False
+    target = cat.certificate(g.adj)
+    for base in cat.all_graphs(g.n // t):
+        if cat.certificate(corona_uniform(base, attach).adj) == target:
+            return True
+    return False

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from wellcover import catalog as cat
-from wellcover.constructions import concatenate, corona_uniform
+from wellcover.constructions import CoronaFamily, concatenate, corona_blocks, corona_uniform
 from wellcover.graph import (
     Graph,
     complement,
@@ -36,10 +38,15 @@ from wellcover.classify import (
     w_convention_disagreements,
     w_level,
 )
-from wellcover.independence import _alpha, _nbhd, _wc_scan, is_independent
+from wellcover.independence import _alpha, _nbhd, _wc_scan
 
 from conftest import graphs
-from oracles import regularizability_by_subsets, wk_monotonicity_by_subsets
+from oracles import (
+    _is_corona_of,
+    is_independent,
+    regularizability_by_subsets,
+    wk_monotonicity_by_subsets,
+)
 
 
 class TestWellCovered:
@@ -216,6 +223,45 @@ class TestSimplicial:
 
     def test_paths_simplicial_up_to_four(self):
         assert [n for n in range(1, 8) if is_simplicial_graph(path(n))] == [1, 2, 3, 4]
+
+
+class TestCliqueCorona:
+    def test_matches_oracle_on_catalog(self, catalog_by_n):
+        for graphs_n in catalog_by_n.values():
+            for g in graphs_n:
+                ctx = GraphContext(g)
+                for m in (1, 2, 3):
+                    assert ctx.clique_corona(m) == _is_corona_of(g, complete(m)), (g.adj, m)
+
+    def test_relabelled_coronas_and_a_cross_edge(self):
+        # H o K_m for a connected H of order >= 2 is recognised under any
+        # labelling; one edge between attached vertices of two blocks leaves
+        # both blocks with m - 1 vertices whose closed neighborhood they are
+        rng = random.Random(20261019)
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            k = rng.randint(2, 20 // (m + 1))
+            edges = {(rng.randrange(v), v) for v in range(1, k)}
+            edges |= {(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.3}
+            base = Graph(k, edges)
+            g = corona_uniform(base, complete(m))
+            blocks = corona_blocks(CoronaFamily(base, (complete(m),) * k))
+            i, j = rng.sample(range(k), 2)
+            cross = (rng.choice(blocks[i]), rng.choice(blocks[j]))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            crossed = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges() + [cross]])
+            assert GraphContext(relabelled).clique_corona(m), (base.adj, m)
+            assert not GraphContext(crossed).clique_corona(m), (base.adj, m, cross)
+
+    def test_small_cases(self):
+        assert GraphContext(complete(2)).clique_corona(1)
+        assert GraphContext(complete(3)).clique_corona(2)
+        assert not GraphContext(empty_graph(0)).clique_corona(1)
+        assert not GraphContext(path(3)).clique_corona(1)
+        with pytest.raises(ValueError):
+            GraphContext(path(2)).clique_corona(0)
 
 
 class TestRegularizability:

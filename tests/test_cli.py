@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from wellcover import catalog as cat
 from wellcover import cli
-from wellcover.graph import parse_graph6, write_graph6, cycle
+from wellcover.graph import parse_graph6, write_graph6, cycle, path
 from wellcover import harness
 from wellcover.catalog import certificate
-from wellcover.constructions import concatenate
+from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import complete
 
 
@@ -181,6 +182,31 @@ class TestSurvey:
         code, out, err = run_cli(capsys, "survey", "/nonexistent/file.g6")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("survey", "catalog:12"),
+            ("verify", "catalog:connected:1..11"),
+            ("hunt", "problem.no-shedding", "catalog:11"),
+            ("survey", "catalog:3..1"),
+            ("survey", "catalog:-2..1"),
+            ("survey", "cycles:5..3"),
+        ],
+    )
+    def test_unbounded_reversed_or_negative_range_exits_2(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the catalog was asked for an out-of-bounds stream")
+
+        monkeypatch.setattr(cat, "graphs_up_to", refuse)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2 and out == "" and "error" in err
+
+    def test_catalog_range_up_to_the_hunt_bound(self, capsys, monkeypatch):
+        asked = []
+        monkeypatch.setattr(cat, "graphs_up_to", lambda *args, **kwargs: asked.append(args) or [])
+        code, _, _ = run_cli(capsys, "survey", f"catalog:{harness.HUNT_MAX_N}")
+        assert code == 0 and asked == [(harness.HUNT_MAX_N,)]
+
 
 class TestVerify:
     def test_clean_catalog_exits_0(self, capsys):
@@ -201,6 +227,24 @@ class TestVerify:
 
         code, out, _ = run_cli(capsys, "verify", "cycles:5..5", "--format", "json")
         assert code == 4
+
+
+class TestPerGraphWorkReadsNoCatalog:
+    def test_verify_leaves_an_empty_cache_empty(self, capsys, monkeypatch, tmp_path):
+        # the corona theorems read the graph's own simplexes, so verifying
+        # single graphs neither generates nor caches a catalog level
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(cache))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        src = tmp_path / "graphs.g6"
+        graphs = [path(8), path(9), corona_uniform(path(4), complete(1)),
+                  corona_uniform(path(3), complete(2)), cycle(9)]
+        src.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+        for source in (str(src), "path:16"):
+            code, out, _ = run_cli(capsys, "verify", source, "--format", "json")
+            assert code == 0 and json.loads(out.splitlines()[-1])["failures"] == []
+        assert list(cache.iterdir()) == []
 
 
 class TestHunt:

@@ -14,14 +14,12 @@ from wellcover.graph import (
     complement,
     complete,
     complete_bipartite,
-    closed_neighborhood,
     components,
     cycle,
     delete_vertex,
     delete_vertices,
     disjoint_union,
     empty_graph,
-    g_ab,
     girth,
     induced,
     is_bipartite,
@@ -142,10 +140,6 @@ class TestNeighborhoods:
         g = disjoint_union([complete(3), complete(1)])
         assert neighborhood(g, mask_of([3])) == 0
 
-    def test_closed_neighborhood(self):
-        g = cycle(5)
-        assert closed_neighborhood(g, mask_of([0])) == mask_of([0, 1, 4])
-
     def test_open_neighborhood_may_intersect(self):
         g = complete(3)
         assert neighborhood(g, mask_of([0, 1])) == g.full_mask
@@ -172,23 +166,6 @@ class TestSubgraphs:
         for new, old in enumerate(labels):
             expected = g.degree(old) - (1 if g.has_edge(old, 2) else 0)
             assert h.degree(new) == expected
-
-    def test_g_ab_on_c5(self):
-        h, labels = g_ab(cycle(5), 0, 1)
-        assert h.n == 1 and labels == (3,)
-
-    def test_g_ab_on_k2(self):
-        h, _ = g_ab(complete(2), 0, 1)
-        assert h.n == 0
-
-    def test_g_ab_on_c7(self):
-        h, labels = g_ab(cycle(7), 0, 1)
-        assert labels == (3, 4, 5)
-        assert sorted(h.edges()) == [(0, 1), (1, 2)]
-
-    def test_g_ab_requires_edge(self):
-        with pytest.raises(ValueError):
-            g_ab(cycle(5), 0, 2)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -22,11 +22,9 @@ from wellcover.graph import (
 from wellcover.independence import (
     can_match_into,
     differential_of_graph,
-    differential_of_set,
     epsilon,
     has_k_disjoint_maximum_independent_sets,
     independence_number,
-    is_independent,
     maximal_independent_sets,
     maximum_independent_sets,
     maximum_matching_size,
@@ -35,6 +33,7 @@ from wellcover.independence import (
 from conftest import graphs
 from oracles import (
     differential_by_subsets,
+    is_independent,
     matching_size_brute_force,
     roman_domination_number,
 )
@@ -151,17 +150,6 @@ class TestEpsilon:
 
 
 class TestDifferential:
-    def test_singletons(self):
-        for g in (cycle(5), complete(4), complete_bipartite(2, 3)):
-            for v in range(g.n):
-                assert differential_of_set(g, 1 << v) == g.degree(v) - 1
-
-    def test_empty_set(self):
-        assert differential_of_set(cycle(9), 0) == 0
-
-    def test_c9_maximum_independent_set(self):
-        assert differential_of_set(cycle(9), mask_of([0, 2, 4, 6])) == 1
-
     def test_graph_values(self):
         assert differential_of_graph(cycle(7)) == 2
         assert differential_of_graph(cycle(9)) == 3
