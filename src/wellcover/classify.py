@@ -143,11 +143,15 @@ def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> 
     1979); production calls it only where the definition-level reading is
     the point: the predicate that cross-checks the level-2 characterizations.
 
-    It suffices to test family-maximal tuples (no vertex outside the union can
-    join any component): shrinking a component preserves extendability, and
-    every family grows componentwise to a family-maximal one.  With
-    ``nonempty`` the quantification runs over families of nonempty sets, the
-    reading under which a too-small graph is vacuously a member.
+    It suffices to test family-maximal tuples (every vertex outside the
+    union has a neighbor in each member): shrinking a component preserves
+    extendability, and every family grows componentwise to a family-maximal
+    one.  So the last member of a tuple must hold each outside vertex that
+    an earlier member leaves without a neighbor; when those vertices are not
+    independent no last member can, and the last slot is skipped.  The
+    pruning drops only tuples that are not family-maximal.  With
+    ``nonempty`` the quantification runs over families of nonempty sets,
+    the reading under which a too-small graph is vacuously a member.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -157,8 +161,11 @@ def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> 
         return True
     ind, omega, contains = ctx.ind, ctx.omega, ctx.contains
 
-    def extend(idx_masks: list[int]) -> bool:
-        # pairwise disjoint members of omega, one from each candidate mask
+    def extends(tup: list[int]) -> bool:
+        # pairwise disjoint members of omega, one containing each set of tup,
+        # the sets with the fewest candidates first
+        idx_masks = sorted((contains[a] for a in tup), key=int.bit_count)
+
         def rec(i: int, used: int) -> bool:
             if i == len(idx_masks):
                 return True
@@ -176,32 +183,28 @@ def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> 
 
     family: list[int] = []
 
-    def family_maximal(union: int) -> bool:
-        outside = full & ~union
-        while outside:
-            b = outside & -outside
-            v = b.bit_length() - 1
-            outside ^= b
-            row = adj[v]
-            for a in family:
-                if row & a == 0:
-                    return False  # v could join component a
+    def last_slot(min_index: int, union: int, dominated: int) -> bool:
+        forced = full & ~union & ~dominated
+        if forced not in contains:  # not independent
+            return True
+        for i in range(min_index, len(ind)):
+            a = ind[i]
+            if a & forced != forced or a & union or (nonempty and a == 0):
+                continue
+            # forced lies in a, so every other outside vertex is dominated
+            # by the earlier members; a must dominate it as well
+            if full & ~(union | a) & ~_nbhd(adj, a):
+                continue
+            if not extends(family + [a]):
+                return False
         return True
 
     # unordered families: enumerate with non-decreasing indices (empty sets
-    # may repeat, so the same index may be reused only for the empty set)
-    def rec_unordered(min_index: int, union: int) -> bool:
-        if len(family) == k:
-            if not family_maximal(union):
-                return True
-            idx_masks = []
-            for a in family:
-                m = contains.get(a, 0)
-                if m == 0:
-                    return False
-                idx_masks.append(m)
-            order = sorted(range(k), key=lambda i: idx_masks[i].bit_count())
-            return extend([idx_masks[i] for i in order])
+    # may repeat, so the same index may be reused only for the empty set);
+    # ``dominated`` holds the vertices with a neighbor in every member so far
+    def rec_unordered(min_index: int, union: int, dominated: int) -> bool:
+        if len(family) == k - 1:
+            return last_slot(min_index, union, dominated)
         for i in range(min_index, len(ind)):
             a = ind[i]
             if nonempty and a == 0:
@@ -209,13 +212,15 @@ def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> 
             if a & union:
                 continue
             family.append(a)
-            ok = rec_unordered(i if a == 0 else i + 1, union | a)
+            ok = rec_unordered(
+                i if a == 0 else i + 1, union | a, dominated & _nbhd(adj, a)
+            )
             family.pop()
             if not ok:
                 return False
         return True
 
-    return rec_unordered(0, 0)
+    return rec_unordered(0, 0, full)
 
 
 def w_level(g: Graph | GraphContext, k_max: int) -> int:

@@ -407,25 +407,43 @@ def _chk_w2_differential_bound(ctx):
     return True, None
 
 
-def _epsilon_mask(ctx, universe: int, a: int) -> int:
-    closed = _nbhd(ctx.adj, a) | a
-    return a.bit_count() + ctx.alpha_of(universe & ~closed)
-
-
 @_theorem("thm.shedding-epsilon", _nonempty)
 def _chk_shedding_epsilon(ctx):
     """A vertex is shedding iff deleting it preserves every enlargement
-    strength.  Hypotheses: nonempty."""
-    full = ctx.full
+    strength.  Hypotheses: nonempty.
+
+    eps(A) is the largest size of an independent superset of A.  Deleting
+    v (not in A) lowers it iff v lies in every largest superset of A, i.e.
+    in their intersection I(A); a neighbor of A never does.  One pass over
+    Ind(G), supersets first, gives eps and I of every A from its one-vertex
+    extensions, and the vertices some deletion lowers are the union of
+    I(A) - A."""
+    adj, full = ctx.adj, ctx.full
+    closed = {0: 0}  # A -> N[A], each from A minus its lowest vertex
+    for a in ctx.ind[1:]:
+        b = a & -a
+        closed[a] = closed[a ^ b] | adj[b.bit_length() - 1] | b
+    best = {}  # A -> (eps(A), I(A))
+    lost = 0
+    for a in reversed(ctx.ind):
+        ext = full & ~closed[a]
+        if not ext:
+            best[a] = a.bit_count(), a
+            continue
+        size = meet = 0
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            s, i = best[a | b]
+            if s > size:
+                size, meet = s, i
+            elif s == size:
+                meet &= i
+        best[a] = size, meet
+        lost |= meet & ~a
     for v in range(ctx.g.n):
-        sub = full ^ (1 << v)
-        preserved = all(
-            _epsilon_mask(ctx, sub, a) == _epsilon_mask(ctx, full, a)
-            for a in ctx.ind
-            if not a >> v & 1
-        )
         shedding = bool(ctx.shed >> v & 1)
-        if shedding != preserved:
+        if shedding == bool(lost >> v & 1):
             return False, _wit(vertex=v, shedding=shedding)
     return True, None
 
@@ -621,14 +639,20 @@ def _chk_wk_chain(ctx):
 @_theorem("thm.berge-maximum", _nonempty)
 def _chk_berge(ctx):
     """An independent set is maximum iff every disjoint independent set
-    matches into it.  Hypotheses: nonempty."""
-    g, adj, full = ctx.g, ctx.adj, ctx.full
+    matches into it.  Hypotheses: nonempty.
+
+    By Hall's condition, every disjoint independent set matches into S iff
+    every disjoint independent B has |N(B) & S| >= |B|: the subsets of an
+    independent set are independent."""
+    adj = ctx.adj
+    hall = [(b, _nbhd(adj, b), b.bit_count()) for b in ctx.ind if b]
     omega_set = set(ctx.omega)
     for s in ctx.ind:
-        matched = all(
-            can_match_into(g, a, s)
-            for a in _iter_maximal_independent(adj, full & ~s)
-        )
+        matched = True
+        for b, nb, size in hall:
+            if not b & s and (nb & s).bit_count() < size:
+                matched = False
+                break
         if matched != (s in omega_set):
             return False, _wit(independent_set=s, maximum=s in omega_set)
     return True, None

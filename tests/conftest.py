@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -11,6 +13,21 @@ def graphs(draw, max_n=8, min_n=0):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, picks)
+
+
+def relabelled_random_graphs(seed: int, count: int, min_n: int, max_n: int):
+    """``count`` random graphs of order min_n..max_n and edge density
+    0.15..0.6, each under a random labelling."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min_n, max_n)
+        p = rng.uniform(0.15, 0.6)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph(
+            n,
+            [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+        )
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ from itertools import permutations, product
 
 from wellcover import catalog as cat
 from wellcover.constructions import corona_uniform
-from wellcover.graph import Graph, iter_bits, write_graph6
+from wellcover.graph import Graph, iter_bits, vertices_of, write_graph6
+from wellcover.independence import _iter_maximal_independent, can_match_into
 
 
 def brute_force_canonical(g: Graph) -> str:
@@ -155,3 +156,89 @@ def _is_corona_of(g: Graph, attach: Graph) -> bool:
         if cat.certificate(corona_uniform(base, attach).adj) == target:
             return True
     return False
+
+
+def berge_by_matching(ctx) -> tuple:
+    """``thm.berge-maximum`` on a graph's context, as (holds, witness): for
+    each S of ``ctx.ind`` in order, whether Kuhn's matching saturates every
+    maximal independent set of G - S into S, against whether S is in
+    ``ctx.omega``."""
+    g = ctx.g
+    omega_set = set(ctx.omega)
+    for s in ctx.ind:
+        matched = all(
+            can_match_into(g, a, s)
+            for a in _iter_maximal_independent(g.adj, g.full_mask & ~s)
+        )
+        if matched != (s in omega_set):
+            return False, {"independent": vertices_of(s), "maximum": s in omega_set}
+    return True, None
+
+
+def shedding_epsilon_by_alpha(ctx) -> tuple:
+    """``thm.shedding-epsilon`` on a graph's context, as (holds, witness):
+    for each vertex v in order, whether |A| + alpha(G - v - N[A]) equals
+    |A| + alpha(G - N[A]) for every A of ``ctx.ind`` without v, against
+    whether v is in ``ctx.shed``."""
+    g = ctx.g
+
+    def eps(universe: int, a: int) -> int:
+        closed = _neighborhood(g, a) | a
+        return a.bit_count() + ctx.alpha_of(universe & ~closed)
+
+    for v in range(g.n):
+        sub = g.full_mask ^ (1 << v)
+        preserved = all(
+            eps(sub, a) == eps(g.full_mask, a) for a in ctx.ind if not a >> v & 1
+        )
+        shedding = bool(ctx.shed >> v & 1)
+        if shedding != preserved:
+            return False, {"vertex": v, "shedding": shedding}
+    return True, None
+
+
+def w_member_by_families(g: Graph, k: int, nonempty: bool = False) -> bool:
+    """Level-k membership straight from the definition: every family of k
+    pairwise disjoint independent sets (of nonempty sets, with
+    ``nonempty``) extends to k pairwise disjoint maximum independent sets.
+
+    Every tuple is enumerated, and the family-maximal ones (no vertex
+    outside the union can join any member) are tested; the independent and
+    the maximum independent sets are found by testing every vertex
+    subset."""
+    if g.n == 0:
+        return True
+    ind = _independent_subsets(g)
+    alpha = max(s.bit_count() for s in ind)
+    omega = [s for s in ind if s.bit_count() == alpha]
+
+    def extends(family: list[int]) -> bool:
+        def rec(i: int, used: int) -> bool:
+            if i == len(family):
+                return True
+            return any(
+                not t & used and rec(i + 1, used | t)
+                for t in omega
+                if family[i] & ~t == 0
+            )
+
+        return rec(0, 0)
+
+    def family_maximal(family: list[int], union: int) -> bool:
+        return all(
+            g.adj[v] & a for v in iter_bits(g.full_mask & ~union) for a in family
+        )
+
+    def rec_unordered(family: list[int], min_index: int, union: int) -> bool:
+        if len(family) == k:
+            return not family_maximal(family, union) or extends(family)
+        for i in range(min_index, len(ind)):
+            a = ind[i]
+            if (nonempty and a == 0) or a & union:
+                continue
+            # the empty set may repeat, so its index may be reused
+            if not rec_unordered(family + [a], i if a == 0 else i + 1, union | a):
+                return False
+        return True
+
+    return rec_unordered([], 0, 0)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -40,11 +41,12 @@ from wellcover.classify import (
 )
 from wellcover.independence import _alpha, _nbhd, _wc_scan
 
-from conftest import graphs
+from conftest import graphs, relabelled_random_graphs
 from oracles import (
     _is_corona_of,
     is_independent,
     regularizability_by_subsets,
+    w_member_by_families,
     wk_monotonicity_by_subsets,
 )
 
@@ -459,6 +461,29 @@ class TestHierarchyOracle:
                 expected = self._oracle(g, k)
                 assert is_in_w(g, k) == expected
                 assert is_in_w_generic(g, k) == expected
+
+
+class TestPrunedFamilyEnumeration:
+    """``is_in_w_generic`` skips last members that cannot make a
+    family-maximal tuple; the unpruned enumeration is the oracle."""
+
+    def test_equals_unpruned_on_catalog(self, catalog_by_n):
+        # k = 1..3 to order 7; k = 2 at order 8 (about 18 s more) runs with
+        # WELLCOVER_ACCEPT_N8=1
+        cases = [(g, k) for graphs_n in catalog_by_n.values() for g in graphs_n for k in (1, 2, 3)]
+        if os.environ.get("WELLCOVER_ACCEPT_N8") == "1":
+            cases += [(g, 2) for g in cat.all_graphs(8)]
+        for g, k in cases:
+            ctx = GraphContext(g)
+            for nonempty in (False, True):
+                assert is_in_w_generic(ctx, k, nonempty) == w_member_by_families(
+                    g, k, nonempty
+                ), (g.adj, k, nonempty)
+
+    def test_equals_unpruned_on_larger_graphs(self):
+        big = [path(16), cycle(14), corona_uniform(path(3), complete(2))]
+        for g in big + list(relabelled_random_graphs(20261018, 8, 9, 12)):
+            assert is_in_w_generic(g, 2) == w_member_by_families(g, 2), g.adj
 
 
 class TestContextMemo:

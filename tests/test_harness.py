@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from wellcover.graph import (
     disjoint_union,
     parse_graph6,
     path,
+    vertices_of,
     write_graph6,
 )
 from wellcover.harness import (
@@ -31,6 +33,9 @@ from wellcover.harness import (
     survey_catalog,
     w2_equivalence_predicates,
 )
+
+from conftest import relabelled_random_graphs
+from oracles import berge_by_matching, shedding_epsilon_by_alpha
 
 EXPECTED_GRAPH_THEOREMS = {
     "lem.alpha-stability",
@@ -333,6 +338,77 @@ class TestSharedContext:
             calls.clear()
             run_suite(g)
             assert len(calls) <= 1, write_graph6(g)
+
+
+class TestHallAndSupersetChecks:
+    """thm.berge-maximum by Hall's condition and thm.shedding-epsilon by one
+    pass over the independent supersets, against the matching and the
+    per-(vertex, set) alpha checks they replace."""
+
+    CHECKS = {
+        "thm.berge-maximum": berge_by_matching,
+        "thm.shedding-epsilon": shedding_epsilon_by_alpha,
+    }
+
+    def _assert_agree(self, g):
+        ctx = GraphContext(g)
+        for tid, oracle in self.CHECKS.items():
+            check = GRAPH_THEOREMS[tid][1]
+            assert check(ctx) == oracle(ctx) == (True, None), (write_graph6(g), tid)
+
+    def test_agree_with_oracles_on_catalog(self, catalog_by_n):
+        # order 8 (about 15 s more) runs with WELLCOVER_ACCEPT_N8=1
+        for n in range(1, 8):
+            for g in catalog_by_n[n]:
+                self._assert_agree(g)
+        if os.environ.get("WELLCOVER_ACCEPT_N8") == "1":
+            for g in cat.all_graphs(8):
+                self._assert_agree(g)
+
+    def test_agree_with_oracles_on_larger_graphs(self):
+        for g in (path(16), cycle(18), *relabelled_random_graphs(20261018, 12, 9, 14)):
+            self._assert_agree(g)
+
+    def test_same_witness_when_a_shedding_bit_flips(self, connected_by_n):
+        check = GRAPH_THEOREMS["thm.shedding-epsilon"][1]
+        for g in connected_by_n[5] + [path(7), cycle(7)]:
+            for v in range(g.n):
+                ctx = GraphContext(g)
+                ctx.shed ^= 1 << v
+                expected = (False, {"vertex": v, "shedding": bool(ctx.shed >> v & 1)})
+                assert check(ctx) == shedding_epsilon_by_alpha(ctx) == expected
+
+    def test_same_witness_when_a_maximum_set_is_dropped(self, connected_by_n):
+        check = GRAPH_THEOREMS["thm.berge-maximum"][1]
+        for g in connected_by_n[5] + [path(7), cycle(7)]:
+            for j, s in enumerate(GraphContext(g).omega):
+                ctx = GraphContext(g)
+                ctx.omega = ctx.omega[:j] + ctx.omega[j + 1:]
+                expected = (False, {"independent": vertices_of(s), "maximum": False})
+                assert check(ctx) == berge_by_matching(ctx) == expected
+
+    def test_berge_runs_no_matching(self, monkeypatch):
+        from wellcover import harness
+
+        def refuse(*args):
+            raise AssertionError("thm.berge-maximum ran a matching search")
+
+        monkeypatch.setattr(harness, "can_match_into", refuse)
+        monkeypatch.setattr(harness, "_iter_maximal_independent", refuse)
+        for g in (cycle(7), path(8), concatenate(complete(2), cycle(5), 0)):
+            [verdict] = run_suite(g, ["thm.berge-maximum"])
+            assert verdict.applicable and verdict.holds
+
+    def test_shedding_epsilon_computes_no_alpha(self, monkeypatch):
+        contexts = [GraphContext(g) for g in (cycle(7), path(8), complete_bipartite(2, 3))]
+
+        def refuse(self, mask):
+            raise AssertionError("thm.shedding-epsilon computed an independence number")
+
+        monkeypatch.setattr(GraphContext, "alpha_of", refuse)
+        for ctx in contexts:
+            [verdict] = run_suite(ctx, ["thm.shedding-epsilon"])
+            assert verdict.applicable and verdict.holds
 
 
 class TestHunt:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from wellcover import catalog as cat
+from wellcover.classify import GraphContext
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -32,6 +33,7 @@ from wellcover.independence import (
 
 from conftest import graphs
 from oracles import (
+    berge_by_matching,
     differential_by_subsets,
     is_independent,
     matching_size_brute_force,
@@ -244,19 +246,11 @@ class TestCanMatchInto:
     def test_berge_criterion_exhaustive(self, catalog_by_n):
         # an independent set is maximum iff every disjoint independent set
         # can be matched into it (checked exhaustively for n <= 7)
-        from wellcover.independence import _iter_maximal_independent
-
         for n in range(8):
             for g in catalog_by_n[n]:
-                omega = set(maximum_independent_sets(g))
-                for s in range(1 << g.n):
-                    if not is_independent(g, s):
-                        continue
-                    matched = all(
-                        can_match_into(g, a, s)
-                        for a in _iter_maximal_independent(g.adj, g.full_mask & ~s)
-                    )
-                    assert matched == (s in omega), (g, s)
+                ctx = GraphContext(g)
+                assert ctx.ind == [s for s in range(1 << n) if is_independent(g, s)]
+                assert berge_by_matching(ctx) == (True, None), g
 
 
 class TestDisjointMaximumSets:
