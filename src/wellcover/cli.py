@@ -15,17 +15,7 @@ import json
 import os
 import sys
 
-from . import catalog as cat
-from .classify import class_report
-from .constructions import (
-    CoronaFamily,
-    concatenation_blocks,
-    concatenate,
-    corona,
-    corona_blocks,
-    corona_uniform,
-    join,
-)
+from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, class_report
 from .graph import (
     Graph,
     Graph6Error,
@@ -36,16 +26,9 @@ from .graph import (
     path,
     write_graph6,
 )
-from .harness import (
-    GRID_THEOREM_IDS,
-    HUNT_MAX_N,
-    HUNT_TARGET_IDS,
-    HuntTarget,
-    SCHEMA_VERSION,
-    hunt,
-    run_grid,
-    survey_catalog,
-)
+
+# the harness, catalog and constructions modules are imported by the commands
+# that use them, so that ``analyze`` loads none of them
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,6 +91,9 @@ def iter_source_lines(source: str, input_path: str | None):
                 raise UsageError("cycles need n >= 3")
             return (cycle(n) for n in range(lo, hi + 1))
         if kind == "catalog":
+            from . import catalog as cat
+            from .harness import HUNT_MAX_N
+
             connected = arg.startswith("connected:")
             if connected:
                 arg = arg[len("connected:"):]
@@ -178,6 +164,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import (
+        CoronaFamily,
+        concatenate,
+        concatenation_blocks,
+        corona,
+        corona_blocks,
+        corona_uniform,
+        join,
+    )
+
     operands: dict = {"operator": args.operator}
     if args.operator == "corona":
         if not args.base or not args.parts:
@@ -236,6 +232,8 @@ def cmd_construct(args) -> int:
 
 
 def _survey_like(args, verify: bool) -> int:
+    from .harness import GRID_THEOREM_IDS, run_grid, survey_catalog
+
     report = survey_catalog(
         iter_source_lines(args.source, args.input),
         k_max=args.kmax,
@@ -304,6 +302,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hunt(args) -> int:
+    from .harness import HuntTarget, hunt
+
     target = HuntTarget(
         target_id=args.target,
         max_n=args.max_n,

@@ -21,6 +21,7 @@ from itertools import product
 
 from . import catalog as cat
 from .classify import (
+    HUNT_TARGET_IDS,
     SCHEMA_VERSION,
     GraphContext,
     _context,
@@ -1049,7 +1050,8 @@ def _until_parse_error(items, stopped: list):
 # hunting
 # ---------------------------------------------------------------------------
 
-# the census predicate of each problem target, on a graph's context
+# the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
+# order, on a graph's context
 _HUNT_PREDICATES = {
     "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
     "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
@@ -1060,8 +1062,6 @@ _HUNT_PREDICATES = {
     and ctx.in_w(2)
     and ctx.alpha + ctx.mu == ctx.g.n - 1,
 }
-
-HUNT_TARGET_IDS = ("conjecture.wk-concat", *_HUNT_PREDICATES)
 
 # Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
 # The catalog generates and caches every graph up to that order in memory:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +333,138 @@ class TestModuleExecution:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["w_level"] == 2
+
+
+class TestStartupImports:
+    """A command loads only the modules it runs: measured as the modules a
+    fresh interpreter adds while importing the CLI and running the command,
+    so whatever the interpreter's site hook imports does not count."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from wellcover import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+
+    @staticmethod
+    def loaded(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", TestStartupImports.SCRIPT, *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        return set(modules)
+
+    def test_analyze_loads_no_harness_catalog_constructions_or_dataclasses(self):
+        loaded = self.loaded("analyze", "cycle:7", "--format", "json")
+        assert {"wellcover.classify", "wellcover.cli"} <= loaded
+        unused = {
+            "wellcover.harness", "wellcover.catalog", "wellcover.constructions",
+            "dataclasses", "multiprocessing",
+        }
+        assert not loaded & unused, loaded & unused
+
+    def test_construct_loads_no_harness_or_catalog(self):
+        loaded = self.loaded("construct", "join", "--parts", "complete:2,complete:2")
+        assert "wellcover.constructions" in loaded
+        assert not loaded & {"wellcover.harness", "wellcover.catalog"}
+
+
+HUNT_CHOICES = (
+    "{conjecture.wk-concat,problem.no-shedding,problem.two-disjoint-mis-girth5,"
+    "problem.w2-alpha2,problem.alpha-plus-mu}"
+)
+
+HUNT_USAGE = f"""\
+usage: wellcover hunt [-h] [--max-n MAX_N] [--k K] [--base-max-n BASE_MAX_N]
+                      [--output OUTPUT] [--format {{json,table}}]
+                      [--input INPUT] [--connected]
+                      {HUNT_CHOICES}
+                      [source]
+"""
+
+
+argparse_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the text is pinned as Python 3.11's argparse formats it"
+)
+
+
+class TestParserText:
+    """The parser's public text, pinned at 80 columns: the hunt choices are
+    listed without importing the harness, and must not change for it."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def exit_text(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @argparse_311
+    def test_top_level_help(self, capsys):
+        assert self.exit_text(capsys, "--help") == (0, """\
+usage: wellcover [-h] {analyze,construct,survey,verify,hunt} ...
+
+Well-coveredness hierarchy toolkit: classify graphs, verify the supporting
+theory, and hunt for counterexamples.
+
+positional arguments:
+  {analyze,construct,survey,verify,hunt}
+    analyze             full hierarchy report for one graph
+    construct           build corona / join / concatenation graphs
+    survey              classify every graph of a stream
+    verify              run every registered theorem over a stream
+    hunt                run a conjecture/problem hunt
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+    @argparse_311
+    def test_hunt_help(self, capsys):
+        assert self.exit_text(capsys, "hunt", "--help") == (0, HUNT_USAGE + f"""
+positional arguments:
+  {HUNT_CHOICES}
+  source                graph6 file, '-', or a stream spec such as
+                        cycles:3..12 or catalog:connected:1..7
+
+options:
+  -h, --help            show this help message and exit
+  --max-n MAX_N         largest order searched
+  --k K                 hierarchy level of the conjecture source
+  --base-max-n BASE_MAX_N
+                        largest base order for the concatenation conjecture
+  --output OUTPUT, -o OUTPUT
+                        output path (default stdout)
+  --format {{json,table}}
+  --input INPUT, -i INPUT
+                        graph6 file, or - for stdin
+  --connected           skip disconnected input graphs
+""", "")
+
+    @argparse_311
+    def test_unknown_hunt_target_lists_the_choices(self, capsys):
+        assert self.exit_text(capsys, "hunt", "nonsense") == (2, "", HUNT_USAGE + (
+            "wellcover hunt: error: argument target: invalid choice: 'nonsense' "
+            "(choose from 'conjecture.wk-concat', 'problem.no-shedding', "
+            "'problem.two-disjoint-mis-girth5', 'problem.w2-alpha2', "
+            "'problem.alpha-plus-mu')\n"
+        ))
+
+    def test_hunt_target_ids_are_the_harness_targets(self):
+        from wellcover.classify import HUNT_TARGET_IDS
+
+        assert HUNT_TARGET_IDS == ("conjecture.wk-concat", *harness._HUNT_PREDICATES)
+        assert harness.HUNT_TARGET_IDS is HUNT_TARGET_IDS
 
 
 class TestSpecExamples:
