@@ -1,9 +1,9 @@
 """Toolkit for the well-coveredness hierarchy of finite graphs.
 
 The package exports the names in the README's Library section; everything
-else is imported from its submodule.  The harness and constructions exports
-are imported on first access, so a process that only classifies graphs does
-not load those modules.
+else is imported from its submodule.  The harness, hunting and constructions
+exports are imported on first access, so a process that only classifies
+graphs does not load those modules.
 """
 
 from .graph import (
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "concatenate": "constructions",
     "corona_uniform": "constructions",
-    "HuntTarget": "harness",
-    "hunt": "harness",
+    "HuntTarget": "hunting",
+    "hunt": "hunting",
     "run_suite": "harness",
     "survey_catalog": "harness",
 }

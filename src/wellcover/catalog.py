@@ -31,6 +31,12 @@ from .graph import Graph, is_connected, iter_bits, neighborhood, parse_graph6, w
 _CACHE_VERSION = 2
 _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
 
+# Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
+# The catalog generates and caches every graph up to that order in memory:
+# 12,005,168 graphs of order 10 alone, and about 10^9 of order 11.
+# Deduplication (``certificate``) has no cap of its own.
+HUNT_MAX_N = 10
+
 # number of graphs / connected graphs on n vertices, used to check generated
 # and loaded levels (classical values; OEIS A000088 and A001349)
 KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
@@ -76,6 +82,13 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         if len(order) == ncolors:
             return colors
         ncolors = len(order)
+
+
+def _interchangeable(adj: tuple[int, ...], u: int, v: int) -> bool:
+    """Whether u and v have the same neighbors apart from each other, so
+    that swapping them is an automorphism."""
+    clear = ~((1 << u) | (1 << v))
+    return adj[u] & clear == adj[v] & clear
 
 
 def certificate(adj: tuple[int, ...]) -> tuple:
@@ -128,14 +141,8 @@ def certificate(adj: tuple[int, ...]) -> tuple:
         fresh = n  # color id larger than any rank produced by _refine
         tried: list[int] = []
         for v in cell:
-            skip = False
-            for u in tried:
-                clear = ~((1 << u) | (1 << v))
-                if (adj[u] & clear) == (adj[v] & clear):
-                    skip = True  # interchangeable with an explored branch
-                    break
-            if skip:
-                continue
+            if any(_interchangeable(adj, u, v) for u in tried):
+                continue  # swapping it with an explored branch is an automorphism
             tried.append(v)
             branched = colors.copy()
             branched[v] = fresh
@@ -218,21 +225,34 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
 
 def _neighborhoods(padj: tuple[int, ...], min_girth: int):
     """Neighborhood subsets whose addition keeps every cycle >= min_girth
-    (every subset when min_girth is 0).
+    (every subset when min_girth is 0) and that take the lowest-indexed
+    members of each class of interchangeable parent vertices.
 
     A new cycle runs through the new vertex via two chosen neighbors a, b and
     has length dist(a, b) + 2, so chosen neighbors must be pairwise at
     distance >= min_girth - 2 in the parent: outside each other's ball of
-    radius min_girth - 3.
+    radius min_girth - 3.  Permuting a class of interchangeable vertices is
+    an automorphism of the parent, which keeps degrees and distances, so it
+    maps every neighborhood to one of these with an isomorphic child.
     """
     k = len(padj)
+    full = (1 << k) - 1
+    # the next lower member of each vertex's class (interchangeability is an
+    # equivalence), which a neighborhood holding the vertex must hold too
+    prev = [0] * k
+    for v in range(k):
+        for u in range(v - 1, -1, -1):
+            if _interchangeable(padj, u, v):
+                prev[v] = 1 << u
+                break
     if min_girth == 0:
-        return range(1 << k)
-    parent = Graph._raw(k, padj)
-    balls = [1 << v for v in range(k)]
-    for _ in range(min_girth - 3):
-        balls = [ball | neighborhood(parent, ball) for ball in balls]
-    compatible = [((1 << k) - 1) & ~ball for ball in balls]
+        compatible = [full] * k
+    else:
+        parent = Graph._raw(k, padj)
+        balls = [1 << v for v in range(k)]
+        for _ in range(min_girth - 3):
+            balls = [ball | neighborhood(parent, ball) for ball in balls]
+        compatible = [full & ~ball for ball in balls]
     out = []
 
     def grow(mask: int, candidates: int):
@@ -242,10 +262,12 @@ def _neighborhoods(padj: tuple[int, ...], min_girth: int):
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
+            if prev[v] & ~mask:
+                continue  # a lower member of v's class is left out
             # extend with v; keep only larger vertices compatible with v
             grow(mask | b, candidates & compatible[v] & ~((b << 1) - 1))
 
-    grow(0, (1 << k) - 1)
+    grow(0, full)
     return out
 
 
@@ -298,17 +320,22 @@ def _checksum(crc: int) -> bytes:
 
 
 def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
-    """The cached level, or None when it is absent, unreadable or its
-    checksum file is missing or does not match."""
+    """The cached level, or None when it is absent, unreadable, holds a
+    graph of another order, or its checksum file is missing or does not
+    match."""
     path = _cache_path(key)
     if path is None:
         return None
+    n = key[1]
     try:
         crc, level = 0, []
         with path.open("rb") as fh:
             for line in fh:  # line by line, so the file is never held whole
                 crc = binascii.crc32(line, crc)
-                level.append(parse_graph6(line.decode()).adj)
+                g = parse_graph6(line.decode())
+                if g.n != n:
+                    return None
+                level.append(g.adj)
         if path.with_suffix(".crc32").read_bytes() != _checksum(crc):
             return None
         return level

@@ -58,8 +58,8 @@ from .independence import (
 SCHEMA_VERSION = 1
 
 # the hunt targets: the concatenation conjecture, then the problem censuses
-# keyed in ``harness._HUNT_PREDICATES``; kept here so that the CLI parser can
-# list them without importing the harness
+# keyed in ``hunting._HUNT_PREDICATES``; kept here so that the CLI parser can
+# list them without importing the hunt module
 HUNT_TARGET_IDS = (
     "conjecture.wk-concat",
     "problem.no-shedding",

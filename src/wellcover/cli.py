@@ -27,8 +27,9 @@ from .graph import (
     write_graph6,
 )
 
-# the harness, catalog and constructions modules are imported by the commands
-# that use them, so that ``analyze`` loads none of them
+# the harness, hunting, catalog and constructions modules are imported by the
+# commands that use them, so that ``analyze`` loads none of them and ``hunt``
+# does not load the theorem registry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,14 +93,13 @@ def iter_source_lines(source: str, input_path: str | None):
             return (cycle(n) for n in range(lo, hi + 1))
         if kind == "catalog":
             from . import catalog as cat
-            from .harness import HUNT_MAX_N
 
             connected = arg.startswith("connected:")
             if connected:
                 arg = arg[len("connected:"):]
             lo, hi = _parse_range(arg)
-            if hi > HUNT_MAX_N:
-                raise UsageError(f"catalog streams are capped at n <= {HUNT_MAX_N}")
+            if hi > cat.HUNT_MAX_N:
+                raise UsageError(f"catalog streams are capped at n <= {cat.HUNT_MAX_N}")
             return cat.graphs_up_to(hi, connected=connected, min_n=lo)
         # single-graph generator specs work as one-graph streams
         return [parse_graph_spec(where)]
@@ -302,7 +302,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    from .harness import HuntTarget, hunt
+    from .hunting import HuntTarget, hunt
 
     target = HuntTarget(
         target_id=args.target,

@@ -137,6 +137,27 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
+# each byte minus 63, so that a body's bytes are its 6-bit groups
+_SIXBITS = bytes((b - 63) & 0xFF for b in range(256))
+
+# order -> (i, 1 << j, j, 1 << i) for the edge ij of each bit of a body read
+# as an int with 8 bits per byte (None for the top two bits of a byte and for
+# padding)
+_CELLS: dict[int, list] = {}
+
+
+def _cells(n: int) -> list:
+    pairs = [(i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j)]
+    nbytes = (len(pairs) + 5) // 6
+    pairs += [None] * (6 * nbytes - len(pairs))
+    cells = []
+    for c in range(nbytes - 1, -1, -1):  # the last byte is the lowest
+        cells += pairs[6 * c : 6 * c + 6][::-1] + [None, None]
+    if n <= 62:  # the long form's tables are built per call, not kept
+        _CELLS[n] = cells
+    return cells
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; an optional '>>graph6<<' header is skipped."""
     s = line.strip()
@@ -148,9 +169,10 @@ def parse_graph6(line: str) -> Graph:
         offset = len(GRAPH6_HEADER)
     if not s:
         raise Graph6Error(f"empty graph6 string at byte {offset}")
-    for i, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {offset + i} out of graph6 range: {ch!r}")
+    if min(s) < "?" or max(s) > "~":
+        for i, ch in enumerate(s):
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6Error(f"byte {offset + i} out of graph6 range: {ch!r}")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise Graph6Error(f"unsupported long-form order at byte {offset}")
@@ -169,21 +191,19 @@ def parse_graph6(line: str) -> Graph:
     if len(body) > nbytes:
         raise Graph6Error(f"trailing data at byte {body_off + nbytes}")
 
-    data = 0
-    for ch in body:
-        data = data << 6 | (ord(ch) - 63)
-    total = 6 * nbytes
-    if nbytes and data & ((1 << (total - nbits)) - 1):
+    # one byte per 6-bit group, so the padding is the low bits of the last byte
+    data = int.from_bytes(body.encode().translate(_SIXBITS), "big")
+    if data & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error(f"nonzero padding bits at byte {body_off + nbytes - 1}")
 
     adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if data >> (total - 1 - k) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    cells = _CELLS.get(n) or _cells(n)
+    while data:
+        b = data & -data
+        i, bj, j, bi = cells[b.bit_length() - 1]
+        adj[i] |= bj
+        adj[j] |= bi
+        data ^= b
     return Graph._raw(n, tuple(adj))
 
 

@@ -1,5 +1,5 @@
-"""Registry of executable theorem checks, catalog survey drivers, and the
-counterexample hunter for the open problems and the concatenation conjecture.
+"""Registry of executable theorem checks and catalog survey drivers; ``hunt``
+and ``HuntTarget`` are re-exported from ``hunting``.
 
 Each per-graph theorem is one check registered by its ``@_theorem(id, gate)``
 decorator, its docstring the statement and hypotheses; the hypothesis gate
@@ -21,7 +21,6 @@ from itertools import product
 
 from . import catalog as cat
 from .classify import (
-    HUNT_TARGET_IDS,
     SCHEMA_VERSION,
     GraphContext,
     _context,
@@ -39,14 +38,13 @@ from .graph import (
     empty_graph,
     has_four_cycle,
     is_bipartite,
-    is_connected,
     is_triangle_free_mask,
     iter_bits,
-    parse_graph6,
     path,
     vertices_of,
     write_graph6,
 )
+from .hunting import HuntTarget, _read_graphs, hunt  # noqa: F401  (hunt, HuntTarget re-exported)
 from .independence import _iter_maximal_independent, _nbhd, can_match_into
 
 
@@ -900,34 +898,6 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
 # ---------------------------------------------------------------------------
 
 
-def _read_graphs(items, connected: bool, errors: list | None):
-    """(line number, graph) for each ``Graph`` and each non-blank graph6 line
-    of ``items``, a line parsed once, skipping disconnected graphs when
-    ``connected``.
-
-    A malformed line raises ``Graph6Error`` when ``errors`` is None;
-    otherwise ``(line number, message)`` is appended to ``errors`` and the
-    line is skipped.
-    """
-    for line_number, item in enumerate(items, start=1):
-        if isinstance(item, Graph):
-            g = item
-        else:
-            text = item.strip()
-            if not text:
-                continue
-            try:
-                g = parse_graph6(text)
-            except Graph6Error as exc:
-                if errors is None:
-                    raise
-                errors.append((line_number, str(exc)))
-                continue
-        if connected and not is_connected(g):
-            continue
-        yield line_number, g
-
-
 @dataclass
 class SurveyReport:
     """A survey in progress.  Iterating it yields one record per graph, in
@@ -1044,131 +1014,3 @@ def _until_parse_error(items, stopped: list):
         yield from items
     except Graph6Error as exc:
         stopped.append(exc)
-
-
-# ---------------------------------------------------------------------------
-# hunting
-# ---------------------------------------------------------------------------
-
-# the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
-# order, on a graph's context
-_HUNT_PREDICATES = {
-    "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
-    "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
-    and ctx.girth <= 5
-    and ctx.disjoint_mis_max(2) == 2,
-    "problem.w2-alpha2": lambda ctx: ctx.connected and ctx.alpha == 2 and ctx.in_w(2),
-    "problem.alpha-plus-mu": lambda ctx: ctx.connected
-    and ctx.in_w(2)
-    and ctx.alpha + ctx.mu == ctx.g.n - 1,
-}
-
-# Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
-# The catalog generates and caches every graph up to that order in memory:
-# 12,005,168 graphs of order 10 alone, and about 10^9 of order 11.
-# Deduplication (catalog.certificate) has no cap of its own.
-HUNT_MAX_N = 10
-
-
-@dataclass(frozen=True)
-class HuntTarget:
-    """A conjecture or open problem with search bounds."""
-
-    target_id: str
-    max_n: int = 8
-    k: int = 3
-    base_max_n: int = 3
-
-    def __post_init__(self):
-        if self.target_id not in HUNT_TARGET_IDS:
-            raise ValueError(f"unknown hunt target {self.target_id!r}")
-        if self.max_n < 1 or self.base_max_n < 1:
-            raise ValueError("bounds must be positive")
-        if self.max_n > HUNT_MAX_N:
-            raise ValueError(f"hunts are capped at n <= {HUNT_MAX_N}")
-        if self.k < 2:
-            raise ValueError("the concatenation conjecture needs k >= 2")
-
-
-@dataclass
-class HuntReport:
-    target_id: str
-    parameters: dict
-    entries: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    checked: int = 0
-    summary: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "target": self.target_id,
-            "parameters": self.parameters,
-            "entries": self.entries,
-            "counterexamples": self.counterexamples,
-            "checked": self.checked,
-            "summary": self.summary,
-            "elapsed": self.elapsed,
-        }
-
-
-def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntReport:
-    """Run one hunt target over a stream of graph6 lines or ``Graph`` objects
-    (the same reader as ``survey_catalog``) or, by default, the
-    generated catalog within the target bound.  Graphs above ``max_n`` are
-    skipped, and so are disconnected ones when ``connected_only``; a
-    malformed line raises ``Graph6Error``.
-
-    Problem targets emit the census of graphs satisfying the problem
-    predicate, one canonical form per isomorphism class in certificate
-    order; the conjecture target reports any concatenation dropping more
-    than one hierarchy level.
-    """
-    t0 = time.perf_counter()
-    report = HuntReport(
-        target_id=target.target_id,
-        parameters={"max_n": target.max_n, "k": target.k, "base_max_n": target.base_max_n},
-    )
-    if source is None:
-        graphs = cat.graphs_up_to(target.max_n, connected=connected_only)
-    else:
-        graphs = (
-            g for _, g in _read_graphs(source, connected_only, None) if g.n <= target.max_n
-        )
-
-    if target.target_id == "conjecture.wk-concat":
-        for base, v, hctx, ctx in _concatenation_sweep(graphs, target.base_max_n, target.k):
-            report.checked += 1
-            if not ctx.in_w(target.k - 1):
-                report.counterexamples.append(
-                    {
-                        "base": write_graph6(base),
-                        "h": write_graph6(hctx.g),
-                        "at": v,
-                        "concatenation": write_graph6(ctx.g),
-                    }
-                )
-        report.summary = {
-            "counterexamples": len(report.counterexamples),
-            "checked": report.checked,
-        }
-    else:
-        predicate = _HUNT_PREDICATES[target.target_id]
-        hits = []
-        for g in graphs:
-            report.checked += 1
-            if g.n >= 1 and predicate(GraphContext(g)):
-                hits.append(g.adj)
-        for adj in cat.canonical_forms(hits):
-            g = Graph._raw(len(adj), adj)
-            report.entries.append(
-                {"graph": write_graph6(g), "n": g.n, "connected": is_connected(g)}
-            )
-        report.summary = {
-            "found": len(report.entries),
-            "found_connected": sum(1 for e in report.entries if e["connected"]),
-            "checked": report.checked,
-        }
-    report.elapsed = time.perf_counter() - t0
-    return report

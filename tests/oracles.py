@@ -6,7 +6,15 @@ from itertools import permutations, product
 
 from wellcover import catalog as cat
 from wellcover.constructions import corona_uniform
-from wellcover.graph import Graph, iter_bits, vertices_of, write_graph6
+from wellcover.graph import (
+    GRAPH6_HEADER,
+    Graph,
+    Graph6Error,
+    girth,
+    iter_bits,
+    vertices_of,
+    write_graph6,
+)
 from wellcover.independence import _iter_maximal_independent, can_match_into
 
 
@@ -242,3 +250,71 @@ def w_member_by_families(g: Graph, k: int, nonempty: bool = False) -> bool:
         return True
 
     return rec_unordered([], 0, 0)
+
+
+def parse_graph6_by_scan(line: str) -> Graph:
+    """Decode one graph6 line by reading every character and then every bit
+    of the upper triangle in turn; errors as ``graph.parse_graph6`` raises
+    them."""
+    s = line.strip()
+    offset = 0
+    if s.startswith(">>"):
+        if not s.startswith(GRAPH6_HEADER):
+            raise Graph6Error("unrecognized header at byte 0")
+        s = s[len(GRAPH6_HEADER):]
+        offset = len(GRAPH6_HEADER)
+    if not s:
+        raise Graph6Error(f"empty graph6 string at byte {offset}")
+    for i, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"byte {offset + i} out of graph6 range: {ch!r}")
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise Graph6Error(f"unsupported long-form order at byte {offset}")
+        if len(s) < 4:
+            raise Graph6Error(f"truncated order field at byte {offset + len(s)}")
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        body, body_off = s[4:], offset + 4
+    else:
+        n = ord(s[0]) - 63
+        body, body_off = s[1:], offset + 1
+
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) < nbytes:
+        raise Graph6Error(f"truncated bit string at byte {offset + len(s)}")
+    if len(body) > nbytes:
+        raise Graph6Error(f"trailing data at byte {body_off + nbytes}")
+
+    data = 0
+    for ch in body:
+        data = data << 6 | (ord(ch) - 63)
+    total = 6 * nbytes
+    if nbytes and data & ((1 << (total - nbits)) - 1):
+        raise Graph6Error(f"nonzero padding bits at byte {body_off + nbytes - 1}")
+
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if data >> (total - 1 - k) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    return Graph._raw(n, tuple(adj))
+
+
+def children_unpruned(padj: tuple, min_girth: int) -> list[tuple]:
+    """Every child of the parent adjacency ``padj`` whose new vertex has
+    minimum degree and whose girth is at least ``min_girth``: each subset of
+    the parent's vertices is tried as the new vertex's neighborhood, and the
+    child is tested against both conditions."""
+    k = len(padj)
+    out = []
+    for nb in range(1 << k):
+        rows = tuple([row | (1 << k if nb >> v & 1 else 0) for v, row in enumerate(padj)] + [nb])
+        if nb.bit_count() == min(row.bit_count() for row in rows) and (
+            girth(Graph._raw(k + 1, rows)) >= min_girth
+        ):
+            out.append(rows)
+    return out

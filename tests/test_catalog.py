@@ -1,4 +1,6 @@
+import os
 import random
+import zlib
 
 import networkx as nx
 import pytest
@@ -6,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcover import catalog as cat
-from wellcover.graph import Graph, girth, is_connected, parse_graph6
+from wellcover.graph import (
+    Graph,
+    complete,
+    cycle,
+    empty_graph,
+    girth,
+    is_connected,
+    parse_graph6,
+    write_graph6,
+)
+from wellcover.graph import path as path_graph
 
 from conftest import graphs
-from oracles import brute_force_canonical
+from oracles import brute_force_canonical, children_unpruned
 
 
 class TestCertificate:
@@ -98,6 +110,51 @@ class TestGeneration:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             list(cat.all_graphs(-1))
+
+
+class TestTwinPruning:
+    """Generation extends each parent only by neighborhoods that take the
+    lowest-indexed members of each class of interchangeable vertices; the
+    oracle tries every neighborhood.  Each level is generated here, with
+    no disk cache, and compared with the oracle's children of the level
+    below."""
+
+    @staticmethod
+    def assert_matches_oracle(monkeypatch, max_n: int, min_girth: int):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        for n in range(1, max_n + 1):
+            parents = cat._level_adj(n - 1, min_girth)
+            oracle = [c for padj in parents for c in children_unpruned(padj, min_girth)]
+            assert cat._level_adj(n, min_girth) == cat.canonical_forms(oracle), (n, min_girth)
+
+    def test_every_level_up_to_7(self, monkeypatch):
+        # order 8 (about 5 s more) runs with WELLCOVER_ACCEPT_N8=1
+        max_n = 8 if os.environ.get("WELLCOVER_ACCEPT_N8") == "1" else 7
+        self.assert_matches_oracle(monkeypatch, max_n, 0)
+
+    @pytest.mark.parametrize("min_girth", [4, 5, 6])
+    def test_girth_levels_up_to_8(self, monkeypatch, min_girth):
+        self.assert_matches_oracle(monkeypatch, 8, min_girth)
+
+    def test_pruned_children_are_fewer(self):
+        parents = cat._level_adj(6)
+        pruned = sum(
+            len(list(cat._children(padj, cat._neighborhoods(padj, 0)))) for padj in parents
+        )
+        unpruned = sum(len(children_unpruned(padj, 0)) for padj in parents)
+        assert (pruned, unpruned) == (1808, 2690)
+
+    def test_cold_generation_certificate_calls(self, monkeypatch):
+        # 3,132 without twin pruning
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        calls = []
+        certificate = cat.certificate
+        monkeypatch.setattr(cat, "certificate", lambda adj: calls.append(1) or certificate(adj))
+        for n in range(8):
+            cat._level_adj(n)
+        assert len(calls) == 2089
 
 
 class TestDiskCache:
@@ -195,6 +252,35 @@ class TestDiskCache:
         assert cat._cache_path(("all", 4)).name == "catalog-v2-all-4.g6"
         assert old.read_text() == "C?\n" * 11
         assert (old.stat().st_ino, old.stat().st_mtime_ns) == stamp
+
+    def test_level_of_another_order_is_regenerated(self, tmp_path, monkeypatch):
+        # four order-4 graphs under the order-3 name, with a matching checksum
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        path = cat._cache_path(("all", 3))
+        wrong = [cycle(4), complete(4), path_graph(4), empty_graph(4)]
+        data = "".join(write_graph6(g) + "\n" for g in wrong).encode()
+        path.write_bytes(data)
+        path.with_suffix(".crc32").write_bytes(b"%08x\n" % zlib.crc32(data))
+        level = cat._level_adj(3)
+        assert len(level) == 4 and all(len(adj) == 3 for adj in level)
+        assert [g.n for g in cat.graphs_up_to(3, min_n=3)] == [3] * 4
+        assert [parse_graph6(line).n for line in path.read_text().split()] == [3] * 4
+
+    def test_level_file_format(self, tmp_path, monkeypatch):
+        # existing version-2 caches hold this format: changing it without a
+        # new _CACHE_VERSION would make every warm run regenerate its levels
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        level = cat._level_adj(5)
+        cat._level_adj(6, 5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"catalog-v2-all-{n}.{ext}" for n in range(6) for ext in ("g6", "crc32")]
+            + [f"catalog-v2-girth-{n}-5.{ext}" for n in range(7) for ext in ("g6", "crc32")]
+        )
+        data = (tmp_path / "catalog-v2-all-5.g6").read_bytes()
+        assert data == "".join(write_graph6(Graph._raw(5, adj)) + "\n" for adj in level).encode()
+        assert (tmp_path / "catalog-v2-all-5.crc32").read_bytes() == b"%08x\n" % zlib.crc32(data)
 
     def test_cache_off(self, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")

@@ -9,7 +9,7 @@ import pytest
 from wellcover import catalog as cat
 from wellcover import cli
 from wellcover.graph import parse_graph6, write_graph6, cycle, path
-from wellcover import harness
+from wellcover import harness, hunting
 from wellcover.catalog import certificate
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import complete
@@ -130,7 +130,7 @@ class TestSurvey:
         def refuse(*args):
             raise AssertionError("a generated graph went through graph6")
 
-        monkeypatch.setattr(harness, "parse_graph6", refuse)
+        monkeypatch.setattr(hunting, "parse_graph6", refuse)
         code, out, _ = run_cli(capsys, "survey", source, "--format", "json")
         lines = [json.loads(line)["line"] for line in out.strip().splitlines()[:-1]]
         assert code == 0 and lines == list(range(1, len(lines) + 1)) and lines
@@ -208,8 +208,8 @@ class TestSurvey:
     def test_catalog_range_up_to_the_hunt_bound(self, capsys, monkeypatch):
         asked = []
         monkeypatch.setattr(cat, "graphs_up_to", lambda *args, **kwargs: asked.append(args) or [])
-        code, _, _ = run_cli(capsys, "survey", f"catalog:{harness.HUNT_MAX_N}")
-        assert code == 0 and asked == [(harness.HUNT_MAX_N,)]
+        code, _, _ = run_cli(capsys, "survey", f"catalog:{cat.HUNT_MAX_N}")
+        assert code == 0 and asked == [(cat.HUNT_MAX_N,)]
 
 
 class TestVerify:
@@ -374,6 +374,13 @@ class TestStartupImports:
         assert "wellcover.constructions" in loaded
         assert not loaded & {"wellcover.harness", "wellcover.catalog"}
 
+    @pytest.mark.parametrize("source", [["--max-n", "3"], ["catalog:1..3"]])
+    def test_hunt_loads_no_theorem_registry(self, source):
+        loaded = self.loaded("hunt", "problem.no-shedding", *source)
+        assert {"wellcover.hunting", "wellcover.catalog"} <= loaded
+        unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing"}
+        assert not loaded & unused, loaded & unused
+
 
 HUNT_CHOICES = (
     "{conjecture.wk-concat,problem.no-shedding,problem.two-disjoint-mis-girth5,"
@@ -463,8 +470,8 @@ options:
     def test_hunt_target_ids_are_the_harness_targets(self):
         from wellcover.classify import HUNT_TARGET_IDS
 
-        assert HUNT_TARGET_IDS == ("conjecture.wk-concat", *harness._HUNT_PREDICATES)
-        assert harness.HUNT_TARGET_IDS is HUNT_TARGET_IDS
+        assert HUNT_TARGET_IDS == ("conjecture.wk-concat", *hunting._HUNT_PREDICATES)
+        assert hunting.HUNT_TARGET_IDS is HUNT_TARGET_IDS
 
 
 class TestSpecExamples:

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellcover.catalog import certificate
@@ -33,8 +33,10 @@ from wellcover.graph import (
     write_graph6,
 )
 
+from wellcover import catalog as cat
+
 from conftest import graphs
-from oracles import brute_force_canonical
+from oracles import brute_force_canonical, parse_graph6_by_scan
 
 
 def to_networkx(g):
@@ -68,7 +70,9 @@ class TestGraph6:
             ("B", "truncated"),
             ("A_?", "trailing"),
             ("A\x05", "byte 1"),
+            ("D?\x05{", "^byte 2 out of graph6 range: '\\\\x05'$"),
             ("Aw", "padding"),
+            ("Bx", "^nonzero padding bits at byte 1$"),
             ("~~~~~~", "long-form"),
         ],
     )
@@ -89,6 +93,55 @@ class TestGraph6:
     def test_large_order_header(self):
         g = empty_graph(100)
         assert parse_graph6(write_graph6(g)).n == 100
+
+
+MALFORMED_GRAPH6 = [
+    "",
+    "   ",
+    ">>sparse6<<A_",
+    ">>graph6<<",
+    "B",
+    "A_?",
+    "A\x05",
+    "D?\x05{",
+    "D?{\x7f",
+    "D?{\u00e9",
+    ">>graph6<<D?\x05",
+    "Aw",
+    "Bx",
+    "D?|",
+    "~~~~~~",
+    "~?",
+    "~?A",
+    "~?A_",
+]
+
+
+class TestGraph6Decoder:
+    """``parse_graph6`` against the scan that reads every character and
+    every bit (``oracles.parse_graph6_by_scan``)."""
+
+    def test_every_catalog_line_up_to_7(self):
+        for n in range(8):
+            for adj in cat._level_adj(n):
+                line = write_graph6(Graph._raw(n, adj))
+                g = parse_graph6(line)
+                assert g == parse_graph6_by_scan(line) and g.adj == adj
+
+    @given(graphs(max_n=70))
+    @example(Graph(70, [(0, 1), (5, 69), (68, 69)]))  # the '~' long form
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, g):
+        line = write_graph6(g)
+        assert parse_graph6(line) == parse_graph6_by_scan(line) == g
+
+    @pytest.mark.parametrize("line", MALFORMED_GRAPH6)
+    def test_same_error_as_the_scan(self, line):
+        with pytest.raises(Graph6Error) as want:
+            parse_graph6_by_scan(line)
+        with pytest.raises(Graph6Error) as got:
+            parse_graph6(line)
+        assert str(got.value) == str(want.value)
 
 
 class TestGenerators:
