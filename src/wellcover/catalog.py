@@ -15,9 +15,10 @@ Generated catalogs are cached in memory and, optionally, on disk (graph6
 lines, with their CRC-32 checksum in a ``.crc32`` file beside them) under
 ``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
 ``WELLCOVER_CACHE_DIR=off`` to disable the disk layer.  Generation is
-deterministic, so the cache is a pure memo; a disk level whose checksum is
-missing or wrong, or whose size differs from its known count, is regenerated
-and rewritten.
+deterministic, so the cache is a pure memo; a disk level with a line that is
+not the graph6 line of a graph of its order, whose checksum is missing or
+wrong, or whose size differs from its known count, is regenerated and
+rewritten.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ import binascii
 import os
 from pathlib import Path
 
-from .graph import Graph, is_connected, iter_bits, neighborhood, parse_graph6, write_graph6
+from .graph import (
+    Graph,
+    decode_graph6_body,
+    is_connected,
+    iter_bits,
+    neighborhood,
+    write_graph6,
+)
 
 _CACHE_VERSION = 2
 _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
@@ -159,15 +167,15 @@ def certificate(adj: tuple[int, ...]) -> tuple:
 
 def _children(padj: tuple[int, ...], neighborhoods):
     """Each child of ``padj`` whose new vertex, attached to one of
-    ``neighborhoods``, has minimum degree in the child."""
+    ``neighborhoods``, has minimum degree in the child; no neighborhood
+    holds more than the parent's minimum degree + 1 vertices."""
     k = len(padj)
     top = 1 << k
     low = min((row.bit_count() for row in padj), default=0)
     lowest = sum(1 << v for v in range(k) if padj[v].bit_count() == low)
     for nb in neighborhoods:
-        d = nb.bit_count()
         # a vertex of degree `low` outside nb would have a smaller degree
-        if d > low and (d > low + 1 or nb & lowest != lowest):
+        if nb.bit_count() > low and nb & lowest != lowest:
             continue
         rows = list(padj)
         for v in iter_bits(nb):
@@ -224,9 +232,11 @@ def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
 
 
 def _neighborhoods(padj: tuple[int, ...], min_girth: int):
-    """Neighborhood subsets whose addition keeps every cycle >= min_girth
-    (every subset when min_girth is 0) and that take the lowest-indexed
-    members of each class of interchangeable parent vertices.
+    """Neighborhood subsets of at most the parent's minimum degree + 1
+    vertices whose addition keeps every cycle >= min_girth (every subset
+    when min_girth is 0) and that take the lowest-indexed members of each
+    class of interchangeable parent vertices.  A larger neighborhood would
+    not leave the new vertex of minimum degree.
 
     A new cycle runs through the new vertex via two chosen neighbors a, b and
     has length dist(a, b) + 2, so chosen neighbors must be pairwise at
@@ -255,8 +265,10 @@ def _neighborhoods(padj: tuple[int, ...], min_girth: int):
         compatible = [full & ~ball for ball in balls]
     out = []
 
-    def grow(mask: int, candidates: int):
+    def grow(mask: int, candidates: int, room: int):
         out.append(mask)
+        if not room:
+            return
         m = candidates
         while m:
             b = m & -m
@@ -265,9 +277,9 @@ def _neighborhoods(padj: tuple[int, ...], min_girth: int):
             if prev[v] & ~mask:
                 continue  # a lower member of v's class is left out
             # extend with v; keep only larger vertices compatible with v
-            grow(mask | b, candidates & compatible[v] & ~((b << 1) - 1))
+            grow(mask | b, candidates & compatible[v] & ~((b << 1) - 1), room - 1)
 
-    grow(0, full)
+    grow(0, full, min((row.bit_count() for row in padj), default=0) + 1)
     return out
 
 
@@ -321,21 +333,23 @@ def _checksum(crc: int) -> bytes:
 
 def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
     """The cached level, or None when it is absent, unreadable, holds a
-    graph of another order, or its checksum file is missing or does not
-    match."""
+    line that is not the graph6 line of a graph of its order, or its
+    checksum file is missing or does not match."""
     path = _cache_path(key)
     if path is None:
         return None
     n = key[1]
+    size = (n * (n - 1) // 2 + 5) // 6 + 2  # order byte, body and newline
+    head = n + 63  # the short-form order byte
     try:
         crc, level = 0, []
         with path.open("rb") as fh:
             for line in fh:  # line by line, so the file is never held whole
                 crc = binascii.crc32(line, crc)
-                g = parse_graph6(line.decode())
-                if g.n != n:
+                if len(line) != size or line[0] != head or line[-1] != 10:
                     return None
-                level.append(g.adj)
+                # the decoder rejects a byte out of range and padding bits
+                level.append(decode_graph6_body(n, line[1:-1]))
         if path.with_suffix(".crc32").read_bytes() != _checksum(crc):
             return None
         return level

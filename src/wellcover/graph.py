@@ -11,6 +11,7 @@ beyond that.
 from __future__ import annotations
 
 import math
+from operator import getitem
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 258047  # largest order encodable by the short forms we emit
@@ -137,25 +138,64 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-# each byte minus 63, so that a body's bytes are its 6-bit groups
-_SIXBITS = bytes((b - 63) & 0xFF for b in range(256))
+class _ByteTable(dict):
+    """The decoding table of body byte c of the order-n graph6 bodies,
+    filled on first use: the entry of byte value b is the packed n x n
+    adjacency with bits i*n + j and j*n + i set for each edge ij that the
+    six bits b - 63 encode.  Entries of different bytes of a body share no
+    bit, so the sum of a body's entries is their OR.
 
-# order -> (i, 1 << j, j, 1 << i) for the edge ij of each bit of a body read
-# as an int with 8 bits per byte (None for the top two bits of a byte and for
-# padding)
-_CELLS: dict[int, list] = {}
+    A value outside the graph6 range, or a last byte with nonzero padding
+    bits, has no entry: looking it up raises ``Graph6Error``.
+    """
+
+    __slots__ = ("n", "c")
+
+    def __init__(self, n: int, c: int):
+        self.n = n
+        self.c = c
+
+    def __missing__(self, b: int) -> int:
+        n, c = self.n, self.c
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"body byte {c} out of graph6 range: {b}")
+        # the byte's first bit, 6c, is the pair (i, j) with 6c = j(j-1)/2 + i
+        j = (1 + math.isqrt(48 * c + 1)) // 2
+        i = 6 * c - j * (j - 1) // 2
+        bits, packed = b - 63, 0
+        for bit in (32, 16, 8, 4, 2, 1):  # MSB first
+            if bits & bit:
+                if j >= n:
+                    raise Graph6Error(f"nonzero padding bits in body byte {c}")
+                packed |= 1 << (i * n + j) | 1 << (j * n + i)
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+        self[b] = packed
+        return packed
 
 
-def _cells(n: int) -> list:
-    pairs = [(i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j)]
-    nbytes = (len(pairs) + 5) // 6
-    pairs += [None] * (6 * nbytes - len(pairs))
-    cells = []
-    for c in range(nbytes - 1, -1, -1):  # the last byte is the lowest
-        cells += pairs[6 * c : 6 * c + 6][::-1] + [None, None]
-    if n <= 62:  # the long form's tables are built per call, not kept
-        _CELLS[n] = cells
-    return cells
+# order -> (the table of each body byte, the shift of each row in the packed
+# adjacency, the row mask), kept for the short-form orders
+_TABLES: dict[int, tuple] = {}
+
+
+def _tables(n: int) -> tuple:
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    tables = [_ByteTable(n, c) for c in range(nbytes)], [i * n for i in range(n)], (1 << n) - 1
+    if n <= 62:  # a long-form order's tables are built per call
+        _TABLES[n] = tables
+    return tables
+
+
+def decode_graph6_body(n: int, body: bytes) -> tuple[int, ...]:
+    """The adjacency rows of the order-n graph whose graph6 body (the bytes
+    after the order field) is ``body``, which must hold exactly the body's
+    bytes: one table entry per byte, then one shift per row.  A byte out of
+    range or nonzero padding raises ``Graph6Error``."""
+    byte_tables, shifts, mask = _TABLES.get(n) or _tables(n)
+    packed = sum(map(getitem, byte_tables, body))
+    return tuple([packed >> s & mask for s in shifts])
 
 
 def parse_graph6(line: str) -> Graph:
@@ -190,21 +230,10 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(f"truncated bit string at byte {offset + len(s)}")
     if len(body) > nbytes:
         raise Graph6Error(f"trailing data at byte {body_off + nbytes}")
-
-    # one byte per 6-bit group, so the padding is the low bits of the last byte
-    data = int.from_bytes(body.encode().translate(_SIXBITS), "big")
-    if data & ((1 << (6 * nbytes - nbits)) - 1):
+    # the padding is the low bits of the last byte
+    if nbytes and (ord(body[-1]) - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error(f"nonzero padding bits at byte {body_off + nbytes - 1}")
-
-    adj = [0] * n
-    cells = _CELLS.get(n) or _cells(n)
-    while data:
-        b = data & -data
-        i, bj, j, bi = cells[b.bit_length() - 1]
-        adj[i] |= bj
-        adj[j] |= bi
-        data ^= b
-    return Graph._raw(n, tuple(adj))
+    return Graph._raw(n, decode_graph6_body(n, body.encode()))
 
 
 def write_graph6(g: Graph) -> str:

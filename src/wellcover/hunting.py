@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from . import catalog as cat
-from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, GraphContext
+from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, GraphContext, is_shedding
 from .graph import Graph, Graph6Error, is_connected, parse_graph6, write_graph6
 
 
@@ -44,9 +44,11 @@ def _read_graphs(items, connected: bool, errors: list | None):
 
 
 # the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
-# order, on a graph's context
+# order, on a graph's context; the no-shedding census stops at the first
+# shedding vertex
 _HUNT_PREDICATES = {
-    "problem.no-shedding": lambda ctx: ctx.well_covered and ctx.shed == 0,
+    "problem.no-shedding": lambda ctx: ctx.well_covered
+    and not any(is_shedding(ctx.g, v) for v in range(ctx.g.n)),
     "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
     and ctx.girth <= 5
     and ctx.disjoint_mis_max(2) == 2,

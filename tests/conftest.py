@@ -1,10 +1,22 @@
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import strategies as st
 
 from wellcover import catalog as cat
 from wellcover.graph import Graph
+
+
+def pytest_configure(config):
+    # the catalog levels the tests read are the ones the code under test
+    # generates, never a cache left by another version; CLI subprocesses
+    # inherit the directory
+    cache = tempfile.mkdtemp(prefix="wellcover-cache-")
+    os.environ["WELLCOVER_CACHE_DIR"] = cache
+    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
 
 
 @st.composite

@@ -152,6 +152,31 @@ def regularizability_by_subsets(g: Graph) -> tuple[bool, bool]:
     return quasi, quasi and regular
 
 
+def well_covered_without_shedding_by_subsets(g: Graph) -> bool:
+    """Whether every maximal independent set of ``g``, found among all its
+    independent subsets, has the same size, and no vertex v is shedding:
+    for some independent set S of G - N[v], S + u is dependent for every
+    neighbor u of v."""
+    independent = _independent_subsets(g)
+    is_ind = set(independent)
+    sizes = {
+        s.bit_count()
+        for s in independent
+        if not any(s | 1 << v in is_ind for v in range(g.n) if not s >> v & 1)
+    }
+    if len(sizes) > 1:
+        return False
+    for v in range(g.n):
+        rest = g.full_mask & ~(g.adj[v] | 1 << v)
+        if all(
+            any(not g.adj[u] & s for u in iter_bits(g.adj[v]))
+            for s in independent
+            if not s & ~rest
+        ):
+            return False  # v is shedding
+    return True
+
+
 def _is_corona_of(g: Graph, attach: Graph) -> bool:
     """Whether g is (isomorphic to) some base graph with ``attach`` hung on
     every vertex, by comparing certificates with the corona of every base

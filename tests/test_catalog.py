@@ -107,6 +107,17 @@ class TestGeneration:
         for g in cat.graphs_with_girth_at_least(9, 6, connected=True):
             assert girth(g) >= 6 and is_connected(g)
 
+    def test_neighborhoods_within_the_degree_bound(self):
+        # 6,412 neighbourhoods without the bound, for the same 1,808 children
+        parents = cat._level_adj(6)
+        sizes = [
+            (nb.bit_count(), min(row.bit_count() for row in padj))
+            for padj in parents
+            for nb in cat._neighborhoods(padj, 0)
+        ]
+        assert len(sizes) == 2937
+        assert all(size <= low + 1 for size, low in sizes)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             list(cat.all_graphs(-1))
@@ -266,6 +277,34 @@ class TestDiskCache:
         assert len(level) == 4 and all(len(adj) == 3 for adj in level)
         assert [g.n for g in cat.graphs_up_to(3, min_n=3)] == [3] * 4
         assert [parse_graph6(line).n for line in path.read_text().split()] == [3] * 4
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: line[:-2] + b"\n",  # a line of another length
+            lambda line: line[:2] + b"\x7f" + line[3:],  # a byte out of range
+            lambda line: line[:-2] + bytes([line[-2] + 1]) + b"\n",  # a padding bit set
+            lambda line: b"D" + line[1:],  # another order byte
+            lambda line: line[:-1],  # no newline (the line is moved to the end)
+        ],
+        ids=["length", "range", "padding", "order", "newline"],
+    )
+    def test_malformed_line_is_regenerated(self, tmp_path, monkeypatch, damage):
+        # each damaged level has a matching checksum and the known count
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        key = ("all", 6)
+        level = cat._level_adj(6)
+        path = cat._cache_path(key)
+        good = path.read_bytes()
+        lines = good.splitlines(keepends=True)
+        data = b"".join(lines[:5] + lines[6:]) + damage(lines[5])
+        path.write_bytes(data)
+        path.with_suffix(".crc32").write_bytes(b"%08x\n" % zlib.crc32(data))
+        assert cat._disk_load(key) is None
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert cat._level_adj(6) == level
+        assert path.read_bytes() == good  # rewritten
 
     def test_level_file_format(self, tmp_path, monkeypatch):
         # existing version-2 caches hold this format: changing it without a

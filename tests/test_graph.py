@@ -128,6 +128,18 @@ class TestGraph6Decoder:
                 g = parse_graph6(line)
                 assert g == parse_graph6_by_scan(line) and g.adj == adj
 
+    def test_disk_levels_match_the_scan(self, tmp_path, monkeypatch):
+        # the catalog's loader checks each line on bytes and decodes it
+        # without parse_graph6
+        keys = [("all", n) for n in range(9)]
+        keys += [("girth", n, gmin) for gmin in (4, 5, 6) for n in range(10)]
+        levels = {key: cat._level_adj(*key[1:]) for key in keys}
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        for key, level in levels.items():
+            cat._disk_store(key, level)
+            lines = cat._cache_path(key).read_text().splitlines()
+            assert cat._disk_load(key) == [parse_graph6_by_scan(line).adj for line in lines]
+
     @given(graphs(max_n=70))
     @example(Graph(70, [(0, 1), (5, 69), (68, 69)]))  # the '~' long form
     @settings(max_examples=150, deadline=None)

@@ -35,7 +35,11 @@ from wellcover.harness import (
 )
 
 from conftest import relabelled_random_graphs
-from oracles import berge_by_matching, shedding_epsilon_by_alpha
+from oracles import (
+    berge_by_matching,
+    shedding_epsilon_by_alpha,
+    well_covered_without_shedding_by_subsets,
+)
 
 EXPECTED_GRAPH_THEOREMS = {
     "lem.alpha-stability",
@@ -417,6 +421,18 @@ class TestHunt:
         found = {cat.certificate(parse_graph6(e["graph"]).adj) for e in report.entries}
         assert cat.certificate(cycle(4).adj) in found
         assert cat.certificate(cycle(7).adj) in found
+
+    def test_no_shedding_census_matches_the_oracle(self):
+        # the census stops at a graph's first shedding vertex; the oracle
+        # reads well-coveredness and shedding from their definitions
+        report = hunt(HuntTarget("problem.no-shedding", max_n=7))
+        assert report.summary == {"found": 19, "found_connected": 8, "checked": 1252}
+        accepted = [
+            g.adj for g in cat.graphs_up_to(7) if well_covered_without_shedding_by_subsets(g)
+        ]
+        assert [e["graph"] for e in report.entries] == [
+            write_graph6(Graph._raw(len(adj), adj)) for adj in cat.canonical_forms(accepted)
+        ]
 
     def test_no_shedding_from_stream(self):
         report = hunt(
