@@ -9,7 +9,9 @@ represented by its canonical form, the relabeled adjacency that
 canonical forms and does not depend on which child reached a class first.
 The certificate is computed by color refinement plus individualization with
 interchangeable-vertex skipping, which stays fast on the symmetric graphs
-that defeat naive permutation schemes.
+that defeat naive permutation schemes.  The refinement splits one cell (the
+vertices of one color) at a time, so a singleton cell costs nothing and a
+cell whose members agree keeps its rank without being reordered.
 
 Generated catalogs are cached in memory and, optionally, on disk (graph6
 lines, with their CRC-32 checksum in a ``.crc32`` file beside them) under
@@ -24,8 +26,8 @@ rewritten.
 from __future__ import annotations
 
 import binascii
+import functools
 import os
-from pathlib import Path
 
 from .graph import (
     Graph,
@@ -33,6 +35,7 @@ from .graph import (
     is_connected,
     iter_bits,
     neighborhood,
+    vertices_of,
     write_graph6,
 )
 
@@ -47,8 +50,8 @@ HUNT_MAX_N = 10
 
 # number of graphs / connected graphs on n vertices, used to check generated
 # and loaded levels (classical values; OEIS A000088 and A001349)
-KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
-KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080]
+KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571]
 
 # the counts each cached level is checked against, keyed by its min_girth (0:
 # every graph): graphs on n vertices of girth >= 4, 5, 6 are OEIS A006785,
@@ -66,30 +69,77 @@ KNOWN_LEVEL_COUNTS = {
 # ---------------------------------------------------------------------------
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Equitable refinement: split color classes by neighbor-color multisets.
+@functools.cache
+def _member_table() -> list[tuple[int, ...]]:
+    """The members of each row of a graph up to the hunt bound, as
+    increasing vertex tuples; built on first use, so that a process that
+    computes no certificate does not hold it."""
+    table = [()]
+    for v in range(HUNT_MAX_N):
+        table += [members + (v,) for members in table]
+    return table
 
-    New color ids are ranks of the sorted signatures, so they do not depend on
-    the vertex labeling.
+
+def _neighbor_lists(adj: tuple[int, ...]) -> list:
+    """Each vertex's neighbors, in increasing order."""
+    table = _member_table()
+    return [table[row] if row < len(table) else vertices_of(row) for row in adj]
+
+
+def _cells(colors: list[int]) -> list[list[int]]:
+    """The vertices of each color, in increasing color order."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def _refine(nbrs: list, colors: list[int], cells: list[list[int]]):
+    """Equitable refinement, one cell at a time: (colors, cells).
+
+    ``cells`` lists the vertices of each color in increasing color order.
+    Each round gives a vertex the number of distinct neighbor-color
+    multisets in the cells before its own, plus the rank of its multiset
+    within its own cell, until no cell splits.  These are the ranks of the
+    sorted (color, neighbor colors) signatures of the whole graph, so they
+    do not depend on the vertex labeling; a singleton cell keeps one rank
+    without looking at its neighbors (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).  The returned colors are 0, 1, ... in cell
+    order.
     """
-    ncolors = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            nb = []
-            while row:
-                b = row & -row
-                nb.append(colors[b.bit_length() - 1])
-                row ^= b
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        if len(order) == ncolors:
-            return colors
-        ncolors = len(order)
+        get = colors.__getitem__
+        new = colors.copy()
+        out = []
+        base = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = base
+                base += 1
+                out.append(cell)
+                continue
+            keyed = sorted([(sorted(map(get, nbrs[v])), v) for v in cell])
+            if keyed[0][0] == keyed[-1][0]:  # one signature: the cell stays
+                for v in cell:
+                    new[v] = base
+                base += 1
+                out.append(cell)
+                continue
+            prev = keyed[0][0]
+            part = []
+            for sig, v in keyed:
+                if sig != prev:
+                    out.append(part)
+                    part = []
+                    base += 1
+                    prev = sig
+                new[v] = base
+                part.append(v)
+            out.append(part)
+            base += 1
+        if len(out) == len(cells):
+            return new, out
+        colors, cells = new, out
 
 
 def _interchangeable(adj: tuple[int, ...], u: int, v: int) -> bool:
@@ -111,52 +161,39 @@ def certificate(adj: tuple[int, ...]) -> tuple:
     n = len(adj)
     if n == 0:
         return (0,)
+    nbrs = _neighbor_lists(adj)
     best: tuple | None = None
 
-    def leaf(colors: list[int]):
+    def rec(colors: list[int], cells: list[list[int]]):
         nonlocal best
-        order = sorted(range(n), key=colors.__getitem__)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        rows = []
-        for v in order:
-            row = adj[v]
-            new = 0
-            while row:
-                b = row & -row
-                new |= 1 << pos[b.bit_length() - 1]
-                row ^= b
-            rows.append(new)
-        key = tuple(rows)
-        if best is None or key > best:
-            best = key
-
-    def rec(colors: list[int]):
-        # find the first non-singleton color class
-        count: dict[int, int] = {}
-        for c in colors:
-            count[c] = count.get(c, 0) + 1
-        target = None
-        for c in sorted(count):
-            if count[c] > 1:
-                target = c
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
                 break
-        if target is None:
-            leaf(colors)
+        else:
+            # discrete: each vertex's color is its position
+            rows = []
+            for (v,) in cells:
+                row = 0
+                for u in nbrs[v]:
+                    row |= 1 << colors[u]
+                rows.append(row)
+            key = tuple(rows)
+            if best is None or key > best:
+                best = key
             return
-        cell = [v for v in range(n) if colors[v] == target]
-        fresh = n  # color id larger than any rank produced by _refine
         tried: list[int] = []
         for v in cell:
             if any(_interchangeable(adj, u, v) for u in tried):
                 continue  # swapping it with an explored branch is an automorphism
             tried.append(v)
+            # individualize v: a last cell of its own, with a color above any rank
             branched = colors.copy()
-            branched[v] = fresh
-            rec(_refine(n, adj, branched))
+            branched[v] = n
+            rest = [u for u in cell if u != v]
+            rec(*_refine(nbrs, branched, cells[:i] + [rest] + cells[i + 1 :] + [[v]]))
 
-    rec(_refine(n, adj, [row.bit_count() for row in adj]))
+    degrees = [len(members) for members in nbrs]
+    rec(*_refine(nbrs, degrees, _cells(degrees)))
     return (n,) + best
 
 
@@ -307,22 +344,28 @@ def graphs_with_girth_at_least(n: int, min_girth: int, connected: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _cache_dir() -> Path | None:
+def _cache_dir() -> str | None:
     env = os.environ.get("WELLCOVER_CACHE_DIR")
     if env == "off":
         return None
     if env:
-        return Path(env)
+        return env
     base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
-    return Path(base) / "wellcover"
+    return os.path.join(base, "wellcover")
 
 
-def _cache_path(key: tuple) -> Path | None:
+def _cache_path(key: tuple) -> str | None:
+    """The level's graph6 file; its checksum file swaps ``.g6`` for
+    ``.crc32``."""
     base = _cache_dir()
     if base is None:
         return None
     name = "-".join(str(part) for part in key)
-    return base / f"catalog-v{_CACHE_VERSION}-{name}.g6"
+    return os.path.join(base, f"catalog-v{_CACHE_VERSION}-{name}.g6")
+
+
+def _checksum_path(path: str) -> str:
+    return path[: -len(".g6")] + ".crc32"
 
 
 def _checksum(crc: int) -> bytes:
@@ -343,15 +386,16 @@ def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
     head = n + 63  # the short-form order byte
     try:
         crc, level = 0, []
-        with path.open("rb") as fh:
+        with open(path, "rb") as fh:
             for line in fh:  # line by line, so the file is never held whole
                 crc = binascii.crc32(line, crc)
                 if len(line) != size or line[0] != head or line[-1] != 10:
                     return None
                 # the decoder rejects a byte out of range and padding bits
                 level.append(decode_graph6_body(n, line[1:-1]))
-        if path.with_suffix(".crc32").read_bytes() != _checksum(crc):
-            return None
+        with open(_checksum_path(path), "rb") as fh:
+            if fh.read() != _checksum(crc):
+                return None
         return level
     except (OSError, ValueError):
         return None
@@ -365,11 +409,12 @@ def _disk_store(key: tuple, level: list[tuple[int, ...]]):
     n = int(key[1])
     data = "".join(write_graph6(Graph._raw(n, adj)) + "\n" for adj in level).encode()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         checksum = _checksum(binascii.crc32(data))
-        for target, content in ((path, data), (path.with_suffix(".crc32"), checksum)):
-            tmp = target.with_name(target.name + ".tmp")
-            tmp.write_bytes(content)
-            tmp.replace(target)
+        for target, content in ((path, data), (_checksum_path(path), checksum)):
+            tmp = target + ".tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(content)
+            os.replace(tmp, target)
     except OSError:
         pass

@@ -343,3 +343,31 @@ def children_unpruned(padj: tuple, min_girth: int) -> list[tuple]:
         ):
             out.append(rows)
     return out
+
+
+def refine_by_rounds(n: int, adj: tuple, colors: list[int]) -> list[int]:
+    """Equitable refinement in whole rounds: every vertex's signature is its
+    color and the sorted colors of its neighbors, and the new colors are the
+    ranks of the sorted distinct signatures, until the number of colors
+    stops growing."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            sigs.append((colors[v], tuple(sorted(colors[u] for u in iter_bits(adj[v])))))
+        order = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        if len(order) == ncolors:
+            return colors
+        ncolors = len(order)
+
+
+def well_covered_by_enumeration(adj: tuple, mask: int):
+    """(well_covered, common size or None) of the subgraph induced on
+    ``mask``, from every maximal independent set; (True, 0) when the mask
+    is empty."""
+    sizes = {s.bit_count() for s in _iter_maximal_independent(adj, mask)}
+    if len(sizes) > 1:
+        return False, None
+    return True, sizes.pop() if sizes else 0

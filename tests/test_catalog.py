@@ -1,6 +1,7 @@
 import os
 import random
 import zlib
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -21,7 +22,7 @@ from wellcover.graph import (
 from wellcover.graph import path as path_graph
 
 from conftest import graphs
-from oracles import brute_force_canonical, children_unpruned
+from oracles import brute_force_canonical, children_unpruned, refine_by_rounds
 
 
 class TestCertificate:
@@ -57,7 +58,49 @@ class TestCertificate:
                 )
 
 
+class TestRefinement:
+    """The cell-by-cell refinement gives the colors of whole rounds."""
+
+    @staticmethod
+    def assert_matches_rounds(adj, colors):
+        nbrs = cat._neighbor_lists(adj)
+        refined, cells = cat._refine(nbrs, colors, cat._cells(colors))
+        assert refined == refine_by_rounds(len(adj), adj, colors), (adj, colors)
+        assert cells == cat._cells(refined)
+
+    def test_degree_coloring_on_catalog_to_order_8(self):
+        for n in range(9):
+            for adj in cat._level_adj(n):
+                self.assert_matches_rounds(adj, [row.bit_count() for row in adj])
+
+    def test_individualized_colorings_on_catalog_to_order_8(self):
+        # a few random colors and one vertex above them all, as a branch of
+        # the certificate search individualizes it
+        rng = random.Random(16)
+        for n in range(1, 9):
+            for adj in cat._level_adj(n):
+                colors = [rng.randrange(3) for _ in range(n)]
+                colors[rng.randrange(n)] = n
+                self.assert_matches_rounds(adj, colors)
+
+    def test_neighbor_lists_beyond_the_table(self):
+        # rows of vertices 0 and 11 reach past the 10-bit table
+        adj = cycle(12).adj
+        assert [list(nb) for nb in cat._neighbor_lists(adj)] == [
+            sorted(((v - 1) % 12, (v + 1) % 12)) for v in range(12)
+        ]
+
+
 class TestGeneration:
+    def test_known_count_tables(self):
+        # order 10 is checked against OEIS A000088 and A001349 without
+        # generating it here
+        assert len(cat.KNOWN_GRAPH_COUNTS) == len(cat.KNOWN_CONNECTED_COUNTS) == 11
+        assert cat.KNOWN_GRAPH_COUNTS[10] == 12_005_168
+        assert cat.KNOWN_CONNECTED_COUNTS[10] == 11_716_571
+        assert cat.KNOWN_LEVEL_COUNTS[0] is cat.KNOWN_GRAPH_COUNTS
+        assert all(c <= a for c, a in zip(cat.KNOWN_CONNECTED_COUNTS, cat.KNOWN_GRAPH_COUNTS))
+
     def test_known_counts(self, catalog_by_n):
         for n in range(8):
             assert len(catalog_by_n[n]) == cat.KNOWN_GRAPH_COUNTS[n]
@@ -182,7 +225,7 @@ class TestDiskCache:
         monkeypatch.setattr(cat, "_mem_cache", {})
         key = ("all", 6)
         cat._level_adj(6)
-        path = cat._cache_path(key)
+        path = Path(cat._cache_path(key))
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:100]))
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(list(cat.all_graphs(6))) == 156
@@ -192,7 +235,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         cat._level_adj(7, 5)
-        path = cat._cache_path(("girth", 7, 5))
+        path = Path(cat._cache_path(("girth", 7, 5)))
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(list(cat.graphs_with_girth_at_least(7, 5))) == 48
@@ -211,7 +254,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         cat._level_adj(6)
-        path = cat._cache_path(("all", 6))
+        path = Path(cat._cache_path(("all", 6)))
         stamp = (path.stat().st_ino, path.stat().st_mtime_ns)
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(cat._level_adj(6)) == 156
@@ -223,7 +266,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(6)
-        path = cat._cache_path(("all", 6))
+        path = Path(cat._cache_path(("all", 6)))
         lines = path.read_text().splitlines()
         lines[5] = lines[6]
         path.write_text("\n".join(lines) + "\n")
@@ -235,7 +278,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(5)
-        checksum = cat._cache_path(("all", 5)).with_suffix(".crc32")
+        checksum = Path(cat._cache_path(("all", 5))).with_suffix(".crc32")
         checksum.unlink()
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert cat._level_adj(5) == level
@@ -260,7 +303,7 @@ class TestDiskCache:
         stamp = (old.stat().st_ino, old.stat().st_mtime_ns)
         level = cat._level_adj(4)
         assert len(set(level)) == 11
-        assert cat._cache_path(("all", 4)).name == "catalog-v2-all-4.g6"
+        assert Path(cat._cache_path(("all", 4))).name == "catalog-v2-all-4.g6"
         assert old.read_text() == "C?\n" * 11
         assert (old.stat().st_ino, old.stat().st_mtime_ns) == stamp
 
@@ -268,7 +311,7 @@ class TestDiskCache:
         # four order-4 graphs under the order-3 name, with a matching checksum
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
-        path = cat._cache_path(("all", 3))
+        path = Path(cat._cache_path(("all", 3)))
         wrong = [cycle(4), complete(4), path_graph(4), empty_graph(4)]
         data = "".join(write_graph6(g) + "\n" for g in wrong).encode()
         path.write_bytes(data)
@@ -295,7 +338,7 @@ class TestDiskCache:
         monkeypatch.setattr(cat, "_mem_cache", {})
         key = ("all", 6)
         level = cat._level_adj(6)
-        path = cat._cache_path(key)
+        path = Path(cat._cache_path(key))
         good = path.read_bytes()
         lines = good.splitlines(keepends=True)
         data = b"".join(lines[:5] + lines[6:]) + damage(lines[5])

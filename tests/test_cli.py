@@ -378,7 +378,7 @@ class TestStartupImports:
     def test_hunt_loads_no_theorem_registry(self, source):
         loaded = self.loaded("hunt", "problem.no-shedding", *source)
         assert {"wellcover.hunting", "wellcover.catalog"} <= loaded
-        unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing"}
+        unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing", "pathlib"}
         assert not loaded & unused, loaded & unused
 
 

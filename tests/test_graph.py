@@ -1,6 +1,7 @@
 import math
 import pickle
 from itertools import permutations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -137,7 +138,7 @@ class TestGraph6Decoder:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         for key, level in levels.items():
             cat._disk_store(key, level)
-            lines = cat._cache_path(key).read_text().splitlines()
+            lines = Path(cat._cache_path(key)).read_text().splitlines()
             assert cat._disk_load(key) == [parse_graph6_by_scan(line).adj for line in lines]
 
     @given(graphs(max_n=70))

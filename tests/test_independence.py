@@ -21,6 +21,7 @@ from wellcover.graph import (
     path,
 )
 from wellcover.independence import (
+    _wc_scan,
     can_match_into,
     differential_of_graph,
     epsilon,
@@ -38,6 +39,7 @@ from oracles import (
     is_independent,
     matching_size_brute_force,
     roman_domination_number,
+    well_covered_by_enumeration,
 )
 
 
@@ -72,6 +74,31 @@ class TestMaximalIndependentSets:
 
     def test_empty_graph_has_empty_maximal_set(self):
         assert maximal_independent_sets(empty_graph(0)) == [0]
+
+
+class TestWellCoveredScan:
+    """The greedy pass and the size-bounded search decide what enumerating
+    every maximal independent set decides."""
+
+    def test_matches_enumeration_on_catalog_to_order_8(self):
+        for n in range(9):
+            for adj in cat._level_adj(n):
+                full = (1 << n) - 1
+                assert _wc_scan(adj, full) == well_covered_by_enumeration(adj, full), adj
+
+    def test_matches_enumeration_on_vertex_deletions_to_order_7(self):
+        for n in range(1, 8):
+            for adj in cat._level_adj(n):
+                full = (1 << n) - 1
+                for v in range(n):
+                    mask = full ^ (1 << v)
+                    assert _wc_scan(adj, mask) == well_covered_by_enumeration(adj, mask)
+
+    def test_examples(self):
+        assert _wc_scan(cycle(5).adj, 0b11111) == (True, 2)
+        assert _wc_scan(path(4).adj, 0b1111) == (True, 2)
+        assert _wc_scan(path(3).adj, 0b111) == (False, None)
+        assert _wc_scan(path(3).adj, 0) == (True, 0)
 
 
 class TestAlphaAndProfile:
