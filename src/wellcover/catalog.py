@@ -26,7 +26,6 @@ rewritten.
 from __future__ import annotations
 
 import binascii
-import functools
 import os
 
 from .graph import (
@@ -67,23 +66,6 @@ KNOWN_LEVEL_COUNTS = {
 # ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
-
-
-@functools.cache
-def _member_table() -> list[tuple[int, ...]]:
-    """The members of each row of a graph up to the hunt bound, as
-    increasing vertex tuples; built on first use, so that a process that
-    computes no certificate does not hold it."""
-    table = [()]
-    for v in range(HUNT_MAX_N):
-        table += [members + (v,) for members in table]
-    return table
-
-
-def _neighbor_lists(adj: tuple[int, ...]) -> list:
-    """Each vertex's neighbors, in increasing order."""
-    table = _member_table()
-    return [table[row] if row < len(table) else vertices_of(row) for row in adj]
 
 
 def _cells(colors: list[int]) -> list[list[int]]:
@@ -161,7 +143,7 @@ def certificate(adj: tuple[int, ...]) -> tuple:
     n = len(adj)
     if n == 0:
         return (0,)
-    nbrs = _neighbor_lists(adj)
+    nbrs = [vertices_of(row) for row in adj]
     best: tuple | None = None
 
     def rec(colors: list[int], cells: list[list[int]]):

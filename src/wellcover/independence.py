@@ -67,9 +67,8 @@ def _wc_scan(adj, mask: int):
 
     First n + 1 greedy maximal independent sets (each vertex, then the
     lowest free vertex; and one taking the highest free vertex first): two of
-    different sizes settle it.  Otherwise a depth-first search branches on
-    the closed neighborhood of an undominated vertex with the fewest free
-    choices, and stops at the first maximal set of a different size.
+    different sizes settle it.  Otherwise the maximal independent sets are
+    enumerated up to the first of a different size.
     """
     size = None
     m = mask
@@ -94,39 +93,10 @@ def _wc_scan(adj, mask: int):
         free &= ~adj[v] & ~(1 << v)
     if size is not None and c != size:
         return False, None
-    size = c
-    # (chosen so far, free candidates, excluded undominated vertices)
-    stack = [(0, mask, 0)]
-    while stack:
-        k, p, x = stack.pop()
-        if k > size:
-            return False, None  # every maximal superset is larger
-        open_ = p | x
-        if not open_:
-            if k != size:
-                return False, None
-            continue
-        best, least = 0, p.bit_count() + 1
-        m = open_
-        while m:
-            b = m & -m
-            m ^= b
-            cnt = (p & (adj[b.bit_length() - 1] | b)).bit_count()
-            if cnt < least:
-                best, least = b, cnt
-                if cnt <= 1:
-                    break
-        # a maximal set holds a vertex of best's closed neighborhood; an
-        # excluded vertex with no free neighbor left ends the branch (least 0)
-        branch = p & (adj[best.bit_length() - 1] | best)
-        while branch:
-            b = branch & -branch
-            branch ^= b
-            keep = ~adj[b.bit_length() - 1] & ~b
-            stack.append((k + 1, p & keep, x & keep))
-            p ^= b
-            x |= b
-    return True, size
+    for s in _iter_maximal_independent(adj, mask):
+        if s.bit_count() != c:
+            return False, None
+    return True, c
 
 
 def _alpha(adj, mask: int) -> int:

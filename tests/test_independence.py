@@ -77,8 +77,9 @@ class TestMaximalIndependentSets:
 
 
 class TestWellCoveredScan:
-    """The greedy pass and the size-bounded search decide what enumerating
-    every maximal independent set decides."""
+    """The greedy pass and the enumeration that stops at the first set of
+    another size decide what enumerating every maximal independent set
+    decides."""
 
     def test_matches_enumeration_on_catalog_to_order_8(self):
         for n in range(9):
