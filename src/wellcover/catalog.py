@@ -33,13 +33,12 @@ from .graph import (
     decode_graph6_body,
     is_connected,
     iter_bits,
-    neighborhood,
     vertices_of,
     write_graph6,
 )
 
 _CACHE_VERSION = 2
-_mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
+_mem_cache: dict[int, list[tuple[int, ...]]] = {}
 
 # Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
 # The catalog generates and caches every graph up to that order in memory:
@@ -47,20 +46,9 @@ _mem_cache: dict[tuple, list[tuple[int, ...]]] = {}
 # Deduplication (``certificate``) has no cap of its own.
 HUNT_MAX_N = 10
 
-# number of graphs / connected graphs on n vertices, used to check generated
-# and loaded levels (classical values; OEIS A000088 and A001349)
+# number of graphs on n vertices, used to check generated and loaded levels
+# (classical values; OEIS A000088)
 KNOWN_GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
-KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571]
-
-# the counts each cached level is checked against, keyed by its min_girth (0:
-# every graph): graphs on n vertices of girth >= 4, 5, 6 are OEIS A006785,
-# A006786 and A006787; their order-10 entries are this generator's output
-KNOWN_LEVEL_COUNTS = {
-    0: KNOWN_GRAPH_COUNTS,
-    4: [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897],
-    5: [1, 1, 2, 3, 6, 11, 23, 48, 114, 293, 869],
-    6: [1, 1, 2, 3, 6, 10, 21, 40, 88, 192, 473],
-}
 
 
 # ---------------------------------------------------------------------------
@@ -210,62 +198,49 @@ def canonical_forms(adjs) -> list[tuple[int, ...]]:
     return [cert[1:] for cert in sorted({certificate(adj) for adj in adjs})]
 
 
-def _level_adj(n: int, min_girth: int = 0) -> list[tuple[int, ...]]:
-    """Every graph on n vertices (of girth >= ``min_girth`` when that is 4 or
-    more; every graph has girth >= 3), one canonical form per isomorphism
-    class in certificate order: from memory, else from disk, else generated
-    by minimum-degree augmentation of level n - 1 and stored.  Girth >=
-    ``min_girth`` survives vertex deletion, so girth levels are generated
-    from girth levels.
+def _level_adj(n: int) -> list[tuple[int, ...]]:
+    """Every graph on n vertices, one canonical form per isomorphism class in
+    certificate order: from memory, else from disk, else generated by
+    minimum-degree augmentation of level n - 1 and stored.
 
-    A level with a known count (``KNOWN_LEVEL_COUNTS``) is checked on disk
+    A level with a known count (``KNOWN_GRAPH_COUNTS``) is checked on disk
     load as well as after generation; a disk level of the wrong size, or
     whose checksum is missing or wrong, is regenerated and rewritten.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    min_girth = 0 if min_girth <= 3 else min_girth
-    key = ("all", n) if min_girth == 0 else ("girth", n, min_girth)
-    level = _mem_cache.get(key)
+    level = _mem_cache.get(n)
     if level is not None:
         return level
-    counts = KNOWN_LEVEL_COUNTS.get(min_girth, ())
-    expected = counts[n] if n < len(counts) else None
-    level = _disk_load(key)
+    expected = KNOWN_GRAPH_COUNTS[n] if n < len(KNOWN_GRAPH_COUNTS) else None
+    level = _disk_load(n)
     if level is None or (expected is not None and len(level) != expected):
         if n == 0:
             level = [()]
         else:
             level = canonical_forms(
                 cadj
-                for padj in _level_adj(n - 1, min_girth)
-                for cadj in _children(padj, _neighborhoods(padj, min_girth))
+                for padj in _level_adj(n - 1)
+                for cadj in _children(padj, _neighborhoods(padj))
             )
         if expected is not None and len(level) != expected:
             raise AssertionError(
                 f"generated {len(level)} graphs on {n} vertices, expected {expected}"
             )
-        _disk_store(key, level)
-    _mem_cache[key] = level
+        _disk_store(n, level)
+    _mem_cache[n] = level
     return level
 
 
-def _neighborhoods(padj: tuple[int, ...], min_girth: int):
+def _neighborhoods(padj: tuple[int, ...]):
     """Neighborhood subsets of at most the parent's minimum degree + 1
-    vertices whose addition keeps every cycle >= min_girth (every subset
-    when min_girth is 0) and that take the lowest-indexed members of each
-    class of interchangeable parent vertices.  A larger neighborhood would
-    not leave the new vertex of minimum degree.
-
-    A new cycle runs through the new vertex via two chosen neighbors a, b and
-    has length dist(a, b) + 2, so chosen neighbors must be pairwise at
-    distance >= min_girth - 2 in the parent: outside each other's ball of
-    radius min_girth - 3.  Permuting a class of interchangeable vertices is
-    an automorphism of the parent, which keeps degrees and distances, so it
+    vertices that take the lowest-indexed members of each class of
+    interchangeable parent vertices.  A larger neighborhood would not leave
+    the new vertex of minimum degree.  Permuting a class of interchangeable
+    vertices is an automorphism of the parent, which keeps degrees, so it
     maps every neighborhood to one of these with an isomorphic child.
     """
     k = len(padj)
-    full = (1 << k) - 1
     # the next lower member of each vertex's class (interchangeability is an
     # equivalence), which a neighborhood holding the vertex must hold too
     prev = [0] * k
@@ -274,51 +249,36 @@ def _neighborhoods(padj: tuple[int, ...], min_girth: int):
             if _interchangeable(padj, u, v):
                 prev[v] = 1 << u
                 break
-    if min_girth == 0:
-        compatible = [full] * k
-    else:
-        parent = Graph._raw(k, padj)
-        balls = [1 << v for v in range(k)]
-        for _ in range(min_girth - 3):
-            balls = [ball | neighborhood(parent, ball) for ball in balls]
-        compatible = [full & ~ball for ball in balls]
     out = []
 
     def grow(mask: int, candidates: int, room: int):
         out.append(mask)
         if not room:
             return
-        m = candidates
-        while m:
-            b = m & -m
+        while candidates:
+            b = candidates & -candidates
             v = b.bit_length() - 1
-            m ^= b
+            candidates ^= b
             if prev[v] & ~mask:
                 continue  # a lower member of v's class is left out
-            # extend with v; keep only larger vertices compatible with v
-            grow(mask | b, candidates & compatible[v] & ~((b << 1) - 1), room - 1)
+            grow(mask | b, candidates, room - 1)  # extend with v; larger vertices follow
 
-    grow(0, full, min((row.bit_count() for row in padj), default=0) + 1)
+    grow(0, (1 << k) - 1, min((row.bit_count() for row in padj), default=0) + 1)
     return out
 
 
 def all_graphs(n: int, connected: bool = False):
     """All graphs on exactly n vertices, one per isomorphism class."""
-    return graphs_with_girth_at_least(n, 0, connected)
+    for adj in _level_adj(n):
+        g = Graph._raw(n, adj)
+        if not connected or is_connected(g):
+            yield g
 
 
 def graphs_up_to(n: int, connected: bool = False, min_n: int = 1):
     """All graphs with min_n <= order <= n, one per isomorphism class."""
     for k in range(min_n, n + 1):
         yield from all_graphs(k, connected=connected)
-
-
-def graphs_with_girth_at_least(n: int, min_girth: int, connected: bool = False):
-    """Graphs on exactly n vertices with girth >= min_girth (forests included)."""
-    for adj in _level_adj(n, min_girth):
-        g = Graph._raw(n, adj)
-        if not connected or is_connected(g):
-            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +296,13 @@ def _cache_dir() -> str | None:
     return os.path.join(base, "wellcover")
 
 
-def _cache_path(key: tuple) -> str | None:
-    """The level's graph6 file; its checksum file swaps ``.g6`` for
+def _cache_path(n: int) -> str | None:
+    """The graph6 file of level n; its checksum file swaps ``.g6`` for
     ``.crc32``."""
     base = _cache_dir()
     if base is None:
         return None
-    name = "-".join(str(part) for part in key)
-    return os.path.join(base, f"catalog-v{_CACHE_VERSION}-{name}.g6")
+    return os.path.join(base, f"catalog-v{_CACHE_VERSION}-all-{n}.g6")
 
 
 def _checksum_path(path: str) -> str:
@@ -356,14 +315,13 @@ def _checksum(crc: int) -> bytes:
     return b"%08x\n" % crc
 
 
-def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
+def _disk_load(n: int) -> list[tuple[int, ...]] | None:
     """The cached level, or None when it is absent, unreadable, holds a
     line that is not the graph6 line of a graph of its order, or its
     checksum file is missing or does not match."""
-    path = _cache_path(key)
+    path = _cache_path(n)
     if path is None:
         return None
-    n = key[1]
     size = (n * (n - 1) // 2 + 5) // 6 + 2  # order byte, body and newline
     head = n + 63  # the short-form order byte
     try:
@@ -383,12 +341,11 @@ def _disk_load(key: tuple) -> list[tuple[int, ...]] | None:
         return None
 
 
-def _disk_store(key: tuple, level: list[tuple[int, ...]]):
-    """Write the level and its checksum file, each replaced atomically."""
-    path = _cache_path(key)
+def _disk_store(n: int, level: list[tuple[int, ...]]):
+    """Write level n and its checksum file, each replaced atomically."""
+    path = _cache_path(n)
     if path is None:
         return
-    n = int(key[1])
     data = "".join(write_graph6(Graph._raw(n, adj)) + "\n" for adj in level).encode()
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -84,7 +84,7 @@ def iter_source_lines(source: str, input_path: str | None):
         raise UsageError("no input given")
     if where == "-":
         return sys.stdin
-    if ":" in where or where.startswith(("cycles", "catalog")):
+    if ":" in where:
         kind, _, arg = where.partition(":")
         if kind == "cycles":
             lo, hi = _parse_range(arg)

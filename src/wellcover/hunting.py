@@ -69,7 +69,7 @@ class HuntTarget:
             raise ValueError("bounds must be positive")
         if max_n > cat.HUNT_MAX_N:
             raise ValueError(f"hunts are capped at n <= {cat.HUNT_MAX_N}")
-        if k < 2:
+        if k < 2 and target_id == "conjecture.wk-concat":
             raise ValueError("the concatenation conjecture needs k >= 2")
         self.target_id = target_id
         self.max_n = max_n

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from wellcover import catalog as cat
 from wellcover.graph import Graph
 
+from oracles import children_unpruned
+
 
 def pytest_configure(config):
     # the catalog levels the tests read are the ones the code under test
@@ -51,3 +53,21 @@ def catalog_by_n():
 @pytest.fixture(scope="session")
 def connected_by_n():
     return {n: list(cat.all_graphs(n, connected=True)) for n in range(8)}
+
+
+@pytest.fixture(scope="session")
+def girth_levels():
+    """Every graph on n vertices of girth >= g, one canonical form per
+    isomorphism class in certificate order, as ``girth_levels[g][n]``: g = 4
+    to order 9, g = 5 and 6 to order 10.  Deleting a vertex of minimum degree
+    keeps the girth, so each level is the classes of the children of the
+    level below, every neighborhood tried (``oracles.children_unpruned``)."""
+    levels = {}
+    for g, max_n in ((4, 9), (5, 10), (6, 10)):
+        levels[g] = [[()]]
+        for n in range(1, max_n + 1):
+            parents = levels[g][n - 1]
+            levels[g].append(
+                cat.canonical_forms(c for padj in parents for c in children_unpruned(padj, g))
+            )
+    return levels

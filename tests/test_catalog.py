@@ -15,7 +15,6 @@ from wellcover.graph import (
     cycle,
     empty_graph,
     girth,
-    is_connected,
     parse_graph6,
     vertices_of,
     write_graph6,
@@ -85,15 +84,27 @@ class TestRefinement:
                 self.assert_matches_rounds(adj, colors)
 
 
+# number of connected graphs on n vertices (OEIS A001349)
+KNOWN_CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571]
+
+# number of graphs on n vertices of girth >= 4, 5 and 6 (OEIS A006785,
+# A006786 and A006787) to order 9; the order-10 entries are regression
+# values, not published ones
+KNOWN_GIRTH_COUNTS = {
+    4: [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897],
+    5: [1, 1, 2, 3, 6, 11, 23, 48, 114, 293, 869],
+    6: [1, 1, 2, 3, 6, 10, 21, 40, 88, 192, 473],
+}
+
+
 class TestGeneration:
     def test_known_count_tables(self):
         # order 10 is checked against OEIS A000088 and A001349 without
         # generating it here
-        assert len(cat.KNOWN_GRAPH_COUNTS) == len(cat.KNOWN_CONNECTED_COUNTS) == 11
+        assert len(cat.KNOWN_GRAPH_COUNTS) == len(KNOWN_CONNECTED_COUNTS) == 11
         assert cat.KNOWN_GRAPH_COUNTS[10] == 12_005_168
-        assert cat.KNOWN_CONNECTED_COUNTS[10] == 11_716_571
-        assert cat.KNOWN_LEVEL_COUNTS[0] is cat.KNOWN_GRAPH_COUNTS
-        assert all(c <= a for c, a in zip(cat.KNOWN_CONNECTED_COUNTS, cat.KNOWN_GRAPH_COUNTS))
+        assert KNOWN_CONNECTED_COUNTS[10] == 11_716_571
+        assert all(c <= a for c, a in zip(KNOWN_CONNECTED_COUNTS, cat.KNOWN_GRAPH_COUNTS))
 
     def test_known_counts(self, catalog_by_n):
         for n in range(8):
@@ -101,7 +112,7 @@ class TestGeneration:
 
     def test_known_connected_counts(self, connected_by_n):
         for n in range(8):
-            assert len(connected_by_n[n]) == cat.KNOWN_CONNECTED_COUNTS[n]
+            assert len(connected_by_n[n]) == KNOWN_CONNECTED_COUNTS[n]
 
     def test_counts_vs_labeled_enumeration(self):
         # independent oracle: canonicalize every labeled graph on n <= 5 by
@@ -123,26 +134,12 @@ class TestGeneration:
         out = list(cat.graphs_up_to(4, connected=True))
         assert len(out) == 1 + 1 + 2 + 6
 
-    def test_girth_catalogs_match_filtering(self):
-        # both are canonical forms in certificate order, so they are equal as
-        # adjacency lists, not merely as classes
-        for gmin in (4, 5, 6):
-            for n in range(8):
-                generated = [g.adj for g in cat.graphs_with_girth_at_least(n, gmin)]
-                filtered = [g.adj for g in cat.all_graphs(n) if girth(g) >= gmin]
-                assert generated == filtered, (gmin, n)
-
     def test_representatives_are_canonical_forms(self):
-        levels = [cat._level_adj(n) for n in range(9)]
-        levels += [cat._level_adj(n, gmin) for gmin in (4, 5, 6) for n in range(10)]
-        for level in levels:
+        for n in range(9):
+            level = cat._level_adj(n)
             assert level == sorted(level)
             for adj in level:
                 assert cat.certificate(adj)[1:] == adj
-
-    def test_girth_catalog_members_are_valid(self):
-        for g in cat.graphs_with_girth_at_least(9, 6, connected=True):
-            assert girth(g) >= 6 and is_connected(g)
 
     def test_neighborhoods_within_the_degree_bound(self):
         # 6,412 neighbourhoods without the bound, for the same 1,808 children
@@ -150,7 +147,7 @@ class TestGeneration:
         sizes = [
             (nb.bit_count(), min(row.bit_count() for row in padj))
             for padj in parents
-            for nb in cat._neighborhoods(padj, 0)
+            for nb in cat._neighborhoods(padj)
         ]
         assert len(sizes) == 2937
         assert all(size <= low + 1 for size, low in sizes)
@@ -167,28 +164,20 @@ class TestTwinPruning:
     no disk cache, and compared with the oracle's children of the level
     below."""
 
-    @staticmethod
-    def assert_matches_oracle(monkeypatch, max_n: int, min_girth: int):
-        monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
-        monkeypatch.setattr(cat, "_mem_cache", {})
-        for n in range(1, max_n + 1):
-            parents = cat._level_adj(n - 1, min_girth)
-            oracle = [c for padj in parents for c in children_unpruned(padj, min_girth)]
-            assert cat._level_adj(n, min_girth) == cat.canonical_forms(oracle), (n, min_girth)
-
     def test_every_level_up_to_7(self, monkeypatch):
         # order 8 (about 5 s more) runs with WELLCOVER_ACCEPT_N8=1
         max_n = 8 if os.environ.get("WELLCOVER_ACCEPT_N8") == "1" else 7
-        self.assert_matches_oracle(monkeypatch, max_n, 0)
-
-    @pytest.mark.parametrize("min_girth", [4, 5, 6])
-    def test_girth_levels_up_to_8(self, monkeypatch, min_girth):
-        self.assert_matches_oracle(monkeypatch, 8, min_girth)
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        for n in range(1, max_n + 1):
+            parents = cat._level_adj(n - 1)
+            oracle = [c for padj in parents for c in children_unpruned(padj, 0)]
+            assert cat._level_adj(n) == cat.canonical_forms(oracle), n
 
     def test_pruned_children_are_fewer(self):
         parents = cat._level_adj(6)
         pruned = sum(
-            len(list(cat._children(padj, cat._neighborhoods(padj, 0)))) for padj in parents
+            len(list(cat._children(padj, cat._neighborhoods(padj)))) for padj in parents
         )
         unpruned = sum(len(children_unpruned(padj, 0)) for padj in parents)
         assert (pruned, unpruned) == (1808, 2690)
@@ -205,50 +194,54 @@ class TestTwinPruning:
         assert len(calls) == 2089
 
 
+class TestGirthLevels:
+    """The girth-restricted levels that theorem tests read
+    (``conftest.girth_levels``) have their own count gate."""
+
+    def test_counts(self, girth_levels):
+        for g, counts in KNOWN_GIRTH_COUNTS.items():
+            assert [len(level) for level in girth_levels[g]] == counts, g
+
+    def test_members_have_the_girth(self, girth_levels):
+        for g, levels in girth_levels.items():
+            for n, level in enumerate(levels):
+                assert level == sorted(level)
+                for adj in level:
+                    assert girth(Graph._raw(n, adj)) >= g
+                    assert cat.certificate(adj)[1:] == adj
+
+    def test_levels_match_filtering(self, girth_levels):
+        # both are canonical forms in certificate order, so they are equal as
+        # adjacency lists, not merely as classes
+        for g, levels in girth_levels.items():
+            for n in range(9):
+                filtered = [h.adj for h in cat.all_graphs(n) if girth(h) >= g]
+                assert levels[n] == filtered, (g, n)
+
+
 class TestDiskCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
-        key = ("all", 4)
         level = cat._level_adj(4)
-        cat._disk_store(key, level)
-        loaded = cat._disk_load(key)
+        cat._disk_store(4, level)
+        loaded = cat._disk_load(4)
         assert loaded == level
 
     def test_truncated_level_is_regenerated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
-        key = ("all", 6)
         cat._level_adj(6)
-        path = Path(cat._cache_path(key))
+        path = Path(cat._cache_path(6))
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:100]))
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(list(cat.all_graphs(6))) == 156
         assert len(path.read_text().splitlines()) == 156  # rewritten
 
-    def test_truncated_girth_level_is_regenerated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(cat, "_mem_cache", {})
-        cat._level_adj(7, 5)
-        path = Path(cat._cache_path(("girth", 7, 5)))
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
-        monkeypatch.setattr(cat, "_mem_cache", {})
-        assert len(list(cat.graphs_with_girth_at_least(7, 5))) == 48
-        assert len(path.read_text().splitlines()) == 48  # rewritten
-
-    def test_girth_three_reads_the_full_level(self, tmp_path, monkeypatch):
-        # every graph has girth >= 3, so no second catalog is built for it
-        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(cat, "_mem_cache", {})
-        girth3 = list(cat.graphs_with_girth_at_least(7, 3))
-        assert [g.adj for g in girth3] == [g.adj for g in cat.all_graphs(7)]
-        assert cat._level_adj(7, 3) is cat._level_adj(7)
-        assert not list(tmp_path.glob("*girth*"))
-
     def test_valid_level_is_not_rewritten(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         cat._level_adj(6)
-        path = Path(cat._cache_path(("all", 6)))
+        path = Path(cat._cache_path(6))
         stamp = (path.stat().st_ino, path.stat().st_mtime_ns)
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert len(cat._level_adj(6)) == 156
@@ -260,7 +253,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(6)
-        path = Path(cat._cache_path(("all", 6)))
+        path = Path(cat._cache_path(6))
         lines = path.read_text().splitlines()
         lines[5] = lines[6]
         path.write_text("\n".join(lines) + "\n")
@@ -272,7 +265,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(5)
-        checksum = Path(cat._cache_path(("all", 5))).with_suffix(".crc32")
+        checksum = Path(cat._cache_path(5)).with_suffix(".crc32")
         checksum.unlink()
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert cat._level_adj(5) == level
@@ -297,7 +290,7 @@ class TestDiskCache:
         stamp = (old.stat().st_ino, old.stat().st_mtime_ns)
         level = cat._level_adj(4)
         assert len(set(level)) == 11
-        assert Path(cat._cache_path(("all", 4))).name == "catalog-v2-all-4.g6"
+        assert Path(cat._cache_path(4)).name == "catalog-v2-all-4.g6"
         assert old.read_text() == "C?\n" * 11
         assert (old.stat().st_ino, old.stat().st_mtime_ns) == stamp
 
@@ -305,7 +298,7 @@ class TestDiskCache:
         # four order-4 graphs under the order-3 name, with a matching checksum
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
-        path = Path(cat._cache_path(("all", 3)))
+        path = Path(cat._cache_path(3))
         wrong = [cycle(4), complete(4), path_graph(4), empty_graph(4)]
         data = "".join(write_graph6(g) + "\n" for g in wrong).encode()
         path.write_bytes(data)
@@ -330,15 +323,14 @@ class TestDiskCache:
         # each damaged level has a matching checksum and the known count
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
-        key = ("all", 6)
         level = cat._level_adj(6)
-        path = Path(cat._cache_path(key))
+        path = Path(cat._cache_path(6))
         good = path.read_bytes()
         lines = good.splitlines(keepends=True)
         data = b"".join(lines[:5] + lines[6:]) + damage(lines[5])
         path.write_bytes(data)
         path.with_suffix(".crc32").write_bytes(b"%08x\n" % zlib.crc32(data))
-        assert cat._disk_load(key) is None
+        assert cat._disk_load(6) is None
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert cat._level_adj(6) == level
         assert path.read_bytes() == good  # rewritten
@@ -349,10 +341,8 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(5)
-        cat._level_adj(6, 5)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [f"catalog-v2-all-{n}.{ext}" for n in range(6) for ext in ("g6", "crc32")]
-            + [f"catalog-v2-girth-{n}-5.{ext}" for n in range(7) for ext in ("g6", "crc32")]
+            f"catalog-v2-all-{n}.{ext}" for n in range(6) for ext in ("g6", "crc32")
         )
         data = (tmp_path / "catalog-v2-all-5.g6").read_bytes()
         assert data == "".join(write_graph6(Graph._raw(5, adj)) + "\n" for adj in level).encode()

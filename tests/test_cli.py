@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,11 +207,69 @@ class TestSurvey:
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2 and out == "" and "error" in err
 
+    def test_relative_files_named_like_generators(self, capsys, monkeypatch, tmp_path):
+        # a source is a generator spec only when it holds a ':'
+        monkeypatch.chdir(tmp_path)
+        lines = "".join(write_graph6(cycle(n)) + "\n" for n in range(3, 6))
+        for name in ("catalog_sample.g6", "cycles.g6", "sample.g6"):
+            (tmp_path / name).write_text(lines)
+        reports = []
+        for name in ("catalog_sample.g6", "cycles.g6", "sample.g6"):
+            code, out, _ = run_cli(capsys, "survey", name, "--format", "json")
+            assert code == 0, name
+            reports.append([json.loads(line)["report"] for line in out.splitlines()[:-1]])
+        assert [r["n"] for r in reports[0]] == [3, 4, 5]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("name", ["catalog", "cycles"])
+    def test_missing_file_named_like_a_generator_exits_2(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "survey", name)
+        assert code == 2 and out == "" and err.startswith(f"error: cannot read '{name}'")
+
     def test_catalog_range_up_to_the_hunt_bound(self, capsys, monkeypatch):
         asked = []
         monkeypatch.setattr(cat, "graphs_up_to", lambda *args, **kwargs: asked.append(args) or [])
         code, _, _ = run_cli(capsys, "survey", f"catalog:{cat.HUNT_MAX_N}")
         assert code == 0 and asked == [(cat.HUNT_MAX_N,)]
+
+
+class TestGoldenOutput:
+    """Command output stays byte-identical apart from the ``elapsed`` fields:
+    the SHA-256 of each output once every ``"elapsed": <float>`` reads
+    ``"elapsed": 0``."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("verify", "catalog:connected:1..7", "--format", "json", "--jobs", "1"),
+                "73bd06776a0d071a1476399f61ca81f8005f23308863f58618ac29b2d909b9eb",
+            ),
+            (
+                ("verify", "catalog:connected:1..7", "--format", "json", "--jobs", "2"),
+                "73bd06776a0d071a1476399f61ca81f8005f23308863f58618ac29b2d909b9eb",
+            ),
+            (
+                ("verify", "catalog:connected:1..5", "--include-grids", "--format", "json"),
+                "521ea6c5da11ebbbddd74194a22d5e507f55369f43b788c6f3623917c345333a",
+            ),
+            (
+                ("hunt", "problem.no-shedding", "--max-n", "8", "--format", "json"),
+                "41f9940138ca96aa1478e929ec7c9ac95d10beb5c461e9f8d7b2a8fd9128a6dc",
+            ),
+            (
+                ("hunt", "conjecture.wk-concat", "--max-n", "6", "--format", "json"),
+                "a237617e58124f6656b0963e7edc9f75622680024aa5f9582533d23d25afa566",
+            ),
+        ],
+        ids=["verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding", "hunt-wk-concat"],
+    )
+    def test_zeroed_output_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        zeroed = re.sub(r'"elapsed": [-0-9.e+]+', '"elapsed": 0', out)
+        assert code == 0
+        assert hashlib.sha256(zeroed.encode()).hexdigest() == digest
 
 
 class TestVerify:
@@ -282,6 +342,23 @@ class TestHunt:
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "hunt", "problem.no-shedding", "--max-n", "99")
         assert code == 2
+
+    def test_problem_ignores_k(self, capsys):
+        # only the concatenation conjecture reads k
+        code, out, err = run_cli(
+            capsys, "hunt", "problem.no-shedding", "--max-n", "5", "--k", "1", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["parameters"]["k"] == 1
+        _, out, _ = run_cli(capsys, "hunt", "problem.no-shedding", "--max-n", "5", "--format", "json")
+        assert doc["entries"] == json.loads(out)["entries"] != []
+
+    def test_conjecture_needs_k_at_least_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hunt", "conjecture.wk-concat", "--max-n", "5", "--k", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the concatenation conjecture needs k >= 2\n"
 
     def test_unread_flag_exits_2(self):
         # hunt runs serially, so --jobs is not one of its flags

@@ -129,17 +129,17 @@ class TestGraph6Decoder:
                 g = parse_graph6(line)
                 assert g == parse_graph6_by_scan(line) and g.adj == adj
 
-    def test_disk_levels_match_the_scan(self, tmp_path, monkeypatch):
+    def test_disk_levels_match_the_scan(self, tmp_path, monkeypatch, girth_levels):
         # the catalog's loader checks each line on bytes and decodes it
-        # without parse_graph6
-        keys = [("all", n) for n in range(9)]
-        keys += [("girth", n, gmin) for gmin in (4, 5, 6) for n in range(10)]
-        levels = {key: cat._level_adj(*key[1:]) for key in keys}
+        # without parse_graph6; the girth levels reach order 10
+        levels = [cat._level_adj(n) for n in range(9)]
+        levels += [level for g in (4, 5, 6) for level in girth_levels[g]]
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
-        for key, level in levels.items():
-            cat._disk_store(key, level)
-            lines = Path(cat._cache_path(key)).read_text().splitlines()
-            assert cat._disk_load(key) == [parse_graph6_by_scan(line).adj for line in lines]
+        for level in levels:
+            n = len(level[0])
+            cat._disk_store(n, level)
+            lines = Path(cat._cache_path(n)).read_text().splitlines()
+            assert cat._disk_load(n) == [parse_graph6_by_scan(line).adj for line in lines]
 
     @given(graphs(max_n=70))
     @example(Graph(70, [(0, 1), (5, 69), (68, 69)]))  # the '~' long form

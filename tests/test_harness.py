@@ -14,6 +14,7 @@ from wellcover.graph import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    is_connected,
     parse_graph6,
     path,
     vertices_of,
@@ -539,35 +540,40 @@ class TestLargeBoundInvariants:
                     failures.append((write_graph6(g), v.theorem_id, v.witness))
         assert not failures, failures[:3]
 
-    def test_girth_six_corona_to_order_ten(self):
+    @staticmethod
+    def girth_graphs(girth_levels, min_girth, max_n, connected):
+        for n in range(1, max_n + 1):
+            for adj in girth_levels[min_girth][n]:
+                g = Graph._raw(n, adj)
+                if not connected or is_connected(g):
+                    yield g
+
+    def test_girth_six_corona_to_order_ten(self, girth_levels):
         failures = []
-        for n in range(1, 11):
-            for g in cat.graphs_with_girth_at_least(n, 6, connected=True):
-                for v in run_suite(g, ["thm.girth6-wc-corona"]):
-                    if v.applicable and not v.holds:
-                        failures.append((write_graph6(g), v.witness))
+        for g in self.girth_graphs(girth_levels, 6, 10, connected=True):
+            for v in run_suite(g, ["thm.girth6-wc-corona"]):
+                if v.applicable and not v.holds:
+                    failures.append((write_graph6(g), v.witness))
         assert not failures, failures[:3]
 
-    def test_girth_five_corona_to_order_ten(self):
+    def test_girth_five_corona_to_order_ten(self, girth_levels):
         failures = []
-        for n in range(1, 11):
-            for g in cat.graphs_with_girth_at_least(n, 5, connected=True):
-                for v in run_suite(g, ["thm.girth5-vwc-corona"]):
-                    if v.applicable and not v.holds:
-                        failures.append((write_graph6(g), v.witness))
+        for g in self.girth_graphs(girth_levels, 5, 10, connected=True):
+            for v in run_suite(g, ["thm.girth5-vwc-corona"]):
+                if v.applicable and not v.holds:
+                    failures.append((write_graph6(g), v.witness))
         assert not failures, failures[:3]
 
-    def test_triangle_free_gab_criterion_to_order_eight(self):
+    def test_triangle_free_gab_criterion_to_order_eight(self, girth_levels):
         failures = []
-        for n in range(1, 9):
-            for g in cat.graphs_with_girth_at_least(n, 4):
-                for v in run_suite(g, ["thm.w2-triangle-free-gab"]):
-                    if v.applicable and not v.holds:
-                        failures.append((write_graph6(g), v.witness))
+        for g in self.girth_graphs(girth_levels, 4, 8, connected=False):
+            for v in run_suite(g, ["thm.w2-triangle-free-gab"]):
+                if v.applicable and not v.holds:
+                    failures.append((write_graph6(g), v.witness))
         assert not failures, failures[:3]
 
     def test_hartnell_to_order_nine(self):
-        from wellcover.graph import has_four_cycle, is_connected
+        from wellcover.graph import has_four_cycle
         from wellcover.independence import _wc_scan
         from wellcover.classify import is_in_w
 
