@@ -66,7 +66,10 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _parse_range(arg: str) -> tuple[int, int]:
     lo, dots, hi = arg.partition("..")
-    lo, hi = int(lo), int(hi if dots else lo)
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise UsageError(f"range {arg!r} is not N or LO..HI") from None
     if not 0 <= lo <= hi:
         raise UsageError(f"range {arg!r} is reversed or negative")
     return lo, hi

@@ -297,71 +297,9 @@ def empty_graph(n: int) -> Graph:
     return Graph._raw(n, (0,) * n)
 
 
-def disjoint_union(gs) -> Graph:
-    """Concatenate blocks, relabeling each block's vertices consecutively."""
-    gs = list(gs)
-    n = sum(g.n for g in gs)
-    adj = []
-    shift = 0
-    for g in gs:
-        adj.extend(row << shift for row in g.adj)
-        shift += g.n
-    return Graph._raw(n, tuple(adj))
-
-
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     return Graph._raw(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
-# ---------------------------------------------------------------------------
-# neighborhoods and subgraphs
-# ---------------------------------------------------------------------------
-
-
-def neighborhood(g: Graph, a_mask: int) -> int:
-    """Open neighborhood N(A): vertices with at least one neighbor in A."""
-    _check_mask(g, a_mask)
-    nb = 0
-    adj = g.adj
-    m = a_mask
-    while m:
-        b = m & -m
-        nb |= adj[b.bit_length() - 1]
-        m ^= b
-    return nb
-
-
-def induced(g: Graph, keep_mask: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the vertices of ``keep_mask``.
-
-    Vertices are relabeled to 0..m-1 preserving relative order; the returned
-    label map sends each new label to its original vertex.
-    """
-    _check_mask(g, keep_mask)
-    labels = vertices_of(keep_mask)
-    pos = {v: i for i, v in enumerate(labels)}
-    adj = []
-    for v in labels:
-        row = g.adj[v] & keep_mask
-        adj.append(sum(1 << pos[u] for u in iter_bits(row)))
-    return Graph._raw(len(labels), tuple(adj)), tuple(labels)
-
-
-def delete_vertices(g: Graph, drop_mask: int) -> tuple[Graph, tuple[int, ...]]:
-    """Delete the vertices of ``drop_mask``; returns (graph, label map)."""
-    _check_mask(g, drop_mask)
-    return induced(g, g.full_mask & ~drop_mask)
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    _check_vertex(g, v)
-    return induced(g, g.full_mask ^ (1 << v))
-
-
-def _check_vertex(g: Graph, v: int):
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
 def _check_mask(g: Graph, mask: int):
@@ -402,12 +340,6 @@ def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     return len(components(g)) == 1
-
-
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(row.bit_count() for row in g.adj)
 
 
 def is_bipartite(g: Graph):

@@ -44,7 +44,8 @@ from .graph import (
     vertices_of,
     write_graph6,
 )
-from .hunting import HuntTarget, _read_graphs, hunt  # noqa: F401  (hunt, HuntTarget re-exported)
+from .hunting import HuntTarget, hunt  # noqa: F401  (re-exported)
+from .hunting import _concatenation_sweep, _read_graphs
 from .independence import _iter_maximal_independent, _nbhd, can_match_into
 
 
@@ -791,21 +792,6 @@ def _grid_concat_alpha(bounds):
                     "expected": expected,
                 }
                 yield g, GraphContext(g).alpha == expected, wit
-
-
-def _concatenation_sweep(parts, base_max_n: int, k: int):
-    """Every concatenation of a connected base of order <= base_max_n with a
-    level-k graph h of ``parts`` fused at its vertex v, looping over h, then
-    v, then the base.  Yields (base, v, h's context, the concatenation's
-    context)."""
-    bases = list(cat.graphs_up_to(base_max_n, connected=True))
-    for h in parts:
-        hctx = GraphContext(h)
-        if h.n < 1 or not hctx.in_w(k):
-            continue
-        for v in range(h.n):
-            for base in bases:
-                yield base, v, hctx, GraphContext(concatenate(base, h, v))
 
 
 def _grid_concat_hierarchy(bounds):

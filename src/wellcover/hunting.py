@@ -1,9 +1,10 @@
 """Counterexample hunts for the open problems and the concatenation
-conjecture, and the graph reader they share with the catalog survey.
+conjecture, and the graph reader and concatenation sweep they share with
+the catalog survey and the construction grids.
 
 A hunt reads the catalog or a stream and runs no registered theorem, so this
-module does not import the theorem registry in ``harness``; the conjecture
-target imports its concatenation sweep from there when it runs.
+module does not import the theorem registry in ``harness``; the sweep loads
+the constructions module only when it runs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,23 @@ def _read_graphs(items, connected: bool, errors: list | None):
         yield line_number, g
 
 
+def _concatenation_sweep(parts, base_max_n: int, k: int):
+    """Every concatenation of a connected base of order <= base_max_n with a
+    level-k graph h of ``parts`` fused at its vertex v, looping over h, then
+    v, then the base.  Yields (base, v, h's context, the concatenation's
+    context)."""
+    from .constructions import concatenate
+
+    bases = list(cat.graphs_up_to(base_max_n, connected=True))
+    for h in parts:
+        hctx = GraphContext(h)
+        if h.n < 1 or not hctx.in_w(k):
+            continue
+        for v in range(h.n):
+            for base in bases:
+                yield base, v, hctx, GraphContext(concatenate(base, h, v))
+
+
 # the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
 # order, on a graph's context; the no-shedding census stops at the first
 # shedding vertex
@@ -65,12 +83,15 @@ class HuntTarget:
     def __init__(self, target_id: str, max_n: int = 8, k: int = 3, base_max_n: int = 3):
         if target_id not in HUNT_TARGET_IDS:
             raise ValueError(f"unknown hunt target {target_id!r}")
-        if max_n < 1 or base_max_n < 1:
+        if max_n < 1:
             raise ValueError("bounds must be positive")
         if max_n > cat.HUNT_MAX_N:
             raise ValueError(f"hunts are capped at n <= {cat.HUNT_MAX_N}")
-        if k < 2 and target_id == "conjecture.wk-concat":
-            raise ValueError("the concatenation conjecture needs k >= 2")
+        if target_id == "conjecture.wk-concat":
+            if base_max_n < 1:
+                raise ValueError("bounds must be positive")
+            if k < 2:
+                raise ValueError("the concatenation conjecture needs k >= 2")
         self.target_id = target_id
         self.max_n = max_n
         self.k = k
@@ -128,8 +149,6 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
         )
 
     if target.target_id == "conjecture.wk-concat":
-        from .harness import _concatenation_sweep
-
         for base, v, hctx, ctx in _concatenation_sweep(graphs, target.base_max_n, target.k):
             report.checked += 1
             if not ctx.in_w(target.k - 1):

@@ -1,6 +1,6 @@
 """Exact independence machinery: maximal independent sets, the independence
-number, independent-set enlargement, the graph differential, and matching
-tests (saturating matchings into a target set, maximum matching size).
+number, the graph differential, and matching tests (saturating matchings
+into a target set, maximum matching size).
 
 The private helpers work on (adjacency tuple, vertex mask) pairs so subgraph
 quantities never pay for relabeling.
@@ -171,16 +171,6 @@ def _independent_sets(adj, mask: int) -> list[int]:
     return out
 
 
-def _is_independent(adj, mask: int) -> bool:
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        if adj[b.bit_length() - 1] & mask:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -199,19 +189,6 @@ def maximum_independent_sets(g: Graph) -> list[int]:
     sets = maximal_independent_sets(g)
     alpha = max((s.bit_count() for s in sets), default=0)
     return [s for s in sets if s.bit_count() == alpha]
-
-
-def epsilon(g: Graph, a_mask: int) -> int:
-    """Largest size of an independent set containing ``a_mask``.
-
-    Equals |A| plus the independence number of the graph without N[A]; the
-    maximum is attained at a maximal independent superset.
-    """
-    _check_mask(g, a_mask)
-    if not _is_independent(g.adj, a_mask):
-        raise ValueError("enlargement strength is defined for independent sets only")
-    closed = _nbhd(g.adj, a_mask) | a_mask
-    return a_mask.bit_count() + _alpha(g.adj, g.full_mask & ~closed)
 
 
 def differential_of_graph(g: Graph) -> int:

@@ -29,6 +29,16 @@ def graphs(draw, max_n=8, min_n=0):
     return Graph(n, picks)
 
 
+def disjoint_union(gs) -> Graph:
+    """The graphs of ``gs`` side by side, each block's vertices numbered
+    after those of the blocks before it."""
+    adj, shift = [], 0
+    for g in gs:
+        adj.extend(row << shift for row in g.adj)
+        shift += g.n
+    return Graph.from_adj(adj)
+
+
 def relabelled_random_graphs(seed: int, count: int, min_n: int, max_n: int):
     """``count`` random graphs of order min_n..max_n and edge density
     0.15..0.6, each under a random labelling."""

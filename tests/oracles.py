@@ -113,6 +113,12 @@ def _independent_subsets(g: Graph) -> list[int]:
     return [s for s in range(1 << g.n) if is_independent(g, s)]
 
 
+def epsilon_by_supersets(g: Graph, a: int) -> int:
+    """eps(A): the largest size of an independent superset of the
+    independent set ``a``, found among all the independent subsets."""
+    return max(s.bit_count() for s in _independent_subsets(g) if s & a == a)
+
+
 def _neighborhood(g: Graph, s: int) -> int:
     out = 0
     for v in iter_bits(s):

@@ -26,7 +26,6 @@ from wellcover.graph import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty_graph,
     is_bipartite,
     is_connected,
@@ -50,6 +49,7 @@ from wellcover.independence import (
     maximal_independent_sets,
     maximum_matching_size,
 )
+from conftest import disjoint_union
 from oracles import matching_size_brute_force
 from test_independence import all_subsets_maximal
 

@@ -12,7 +12,6 @@ from wellcover.graph import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty_graph,
     iter_bits,
     mask_of,
@@ -41,7 +40,7 @@ from wellcover.classify import (
 )
 from wellcover.independence import _alpha, _nbhd, _wc_scan
 
-from conftest import graphs, relabelled_random_graphs
+from conftest import disjoint_union, graphs, relabelled_random_graphs
 from oracles import (
     _is_corona_of,
     is_independent,

@@ -207,6 +207,15 @@ class TestSurvey:
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2 and out == "" and "error" in err
 
+    @pytest.mark.parametrize(
+        "source, arg",
+        [("catalog:3..", "3.."), ("cycles:x..5", "x..5"), ("catalog:connected:", ""),
+         ("cycles:3..5..7", "3..5..7")],
+    )
+    def test_malformed_range_exits_2(self, capsys, source, arg):
+        code, out, err = run_cli(capsys, "survey", source)
+        assert (code, out, err) == (2, "", f"error: range {arg!r} is not N or LO..HI\n")
+
     def test_relative_files_named_like_generators(self, capsys, monkeypatch, tmp_path):
         # a source is a generator spec only when it holds a ':'
         monkeypatch.chdir(tmp_path)
@@ -360,6 +369,23 @@ class TestHunt:
         assert (code, out) == (2, "")
         assert err == "error: the concatenation conjecture needs k >= 2\n"
 
+    def test_problem_ignores_base_max_n(self, capsys):
+        # only the concatenation conjecture reads base_max_n
+        code, out, err = run_cli(
+            capsys, "hunt", "problem.no-shedding", "--max-n", "5", "--base-max-n", "0",
+            "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["parameters"]["base_max_n"] == 0
+        _, out, _ = run_cli(capsys, "hunt", "problem.no-shedding", "--max-n", "5", "--format", "json")
+        assert doc["entries"] == json.loads(out)["entries"] != []
+
+    def test_conjecture_needs_base_max_n_at_least_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hunt", "conjecture.wk-concat", "--max-n", "5", "--base-max-n", "0"
+        )
+        assert (code, out, err) == (2, "", "error: bounds must be positive\n")
+
     def test_unread_flag_exits_2(self):
         # hunt runs serially, so --jobs is not one of its flags
         with pytest.raises(SystemExit) as exc:
@@ -457,6 +483,12 @@ class TestStartupImports:
         assert {"wellcover.hunting", "wellcover.catalog"} <= loaded
         unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing", "pathlib"}
         assert not loaded & unused, loaded & unused
+
+    def test_conjecture_hunt_loads_no_theorem_registry(self):
+        # the concatenation sweep lives in hunting, next to the reader
+        loaded = self.loaded("hunt", "conjecture.wk-concat", "--max-n", "4", "--base-max-n", "2")
+        assert {"wellcover.hunting", "wellcover.constructions"} <= loaded
+        assert "wellcover.harness" not in loaded
 
 
 HUNT_CHOICES = (

@@ -17,26 +17,19 @@ from wellcover.graph import (
     complete_bipartite,
     components,
     cycle,
-    delete_vertex,
-    delete_vertices,
-    disjoint_union,
     empty_graph,
     girth,
-    induced,
     is_bipartite,
     is_connected,
     mask_of,
-    max_degree,
-    neighborhood,
     parse_graph6,
     path,
-    vertices_of,
     write_graph6,
 )
 
 from wellcover import catalog as cat
 
-from conftest import graphs
+from conftest import disjoint_union, graphs
 from oracles import brute_force_canonical, parse_graph6_by_scan
 
 
@@ -163,10 +156,6 @@ class TestGenerators:
         assert c5.n == 5 and c5.edge_count() == 5
         assert all(c5.degree(v) == 2 for v in range(5))
 
-    def test_disjoint_union(self):
-        g = disjoint_union([complete(2), complete(2)])
-        assert g.n == 4 and g.edge_count() == 2
-
     def test_complete_bipartite(self):
         g = complete_bipartite(2, 3)
         assert g.edge_count() == 6
@@ -193,51 +182,6 @@ class TestGenerators:
         # survey workers receive parsed graphs
         for g in (empty_graph(0), cycle(7), complete_bipartite(2, 3)):
             assert pickle.loads(pickle.dumps(g)) == g
-
-
-class TestNeighborhoods:
-    def test_open_neighborhood_on_cycle(self):
-        assert neighborhood(cycle(5), mask_of([0])) == mask_of([1, 4])
-
-    def test_empty_set(self):
-        assert neighborhood(cycle(5), 0) == 0
-
-    def test_isolated_vertex(self):
-        g = disjoint_union([complete(3), complete(1)])
-        assert neighborhood(g, mask_of([3])) == 0
-
-    def test_open_neighborhood_may_intersect(self):
-        g = complete(3)
-        assert neighborhood(g, mask_of([0, 1])) == g.full_mask
-
-
-class TestSubgraphs:
-    def test_cycle_minus_vertex_is_path(self):
-        g, labels = delete_vertex(cycle(4), 0)
-        assert labels == (1, 2, 3)
-        assert sorted(g.edges()) == [(0, 1), (1, 2)]
-
-    def test_induced_identity(self):
-        g = cycle(5)
-        h, labels = induced(g, g.full_mask)
-        assert h == g and labels == (0, 1, 2, 3, 4)
-
-    def test_path_minus_middle(self):
-        g, _ = delete_vertex(path(3), 1)
-        assert g.n == 2 and g.edge_count() == 0
-
-    def test_delete_degree_relation(self):
-        g = cycle(6)
-        h, labels = delete_vertex(g, 2)
-        for new, old in enumerate(labels):
-            expected = g.degree(old) - (1 if g.has_edge(old, 2) else 0)
-            assert h.degree(new) == expected
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delete_vertex(cycle(4), 7)
-        with pytest.raises(ValueError):
-            delete_vertices(cycle(4), mask_of([5]))
 
 
 class TestStructure:
@@ -269,10 +213,6 @@ class TestStructure:
         assert components(g) == [mask_of([0, 1, 2]), mask_of([3, 4])]
         assert not is_connected(g)
         assert is_connected(empty_graph(0))
-
-    def test_max_degree(self):
-        assert max_degree(complete_bipartite(2, 3)) == 3
-        assert max_degree(empty_graph(0)) == 0
 
     def test_complement_degrees(self):
         g = cycle(5)

@@ -13,7 +13,6 @@ from wellcover.graph import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     is_connected,
     parse_graph6,
     path,
@@ -35,7 +34,7 @@ from wellcover.harness import (
     w2_equivalence_predicates,
 )
 
-from conftest import relabelled_random_graphs
+from conftest import disjoint_union, relabelled_random_graphs
 from oracles import (
     berge_by_matching,
     shedding_epsilon_by_alpha,
@@ -604,7 +603,7 @@ class TestLocallyTriangleFreeRefinement:
             is_locally_triangle_free,
         )
         from wellcover.constructions import join
-        from wellcover.graph import complement, components, cycle, disjoint_union
+        from wellcover.graph import complement, components, cycle
         from wellcover.independence import independence_number
 
         two_k2 = disjoint_union([complete(2), complete(2)])

@@ -14,9 +14,7 @@ from wellcover.graph import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty_graph,
-    iter_bits,
     mask_of,
     path,
 )
@@ -24,7 +22,6 @@ from wellcover.independence import (
     _wc_scan,
     can_match_into,
     differential_of_graph,
-    epsilon,
     has_k_disjoint_maximum_independent_sets,
     independence_number,
     maximal_independent_sets,
@@ -32,10 +29,11 @@ from wellcover.independence import (
     maximum_matching_size,
 )
 
-from conftest import graphs
+from conftest import disjoint_union, graphs
 from oracles import (
     berge_by_matching,
     differential_by_subsets,
+    epsilon_by_supersets,
     is_independent,
     matching_size_brute_force,
     roman_domination_number,
@@ -131,52 +129,6 @@ class TestIsIndependent:
         assert is_independent(g, 0)
         assert is_independent(g, mask_of([0, 2]))
         assert not is_independent(g, mask_of([0, 1]))
-
-
-class TestEpsilon:
-    def test_empty_set_gives_alpha(self):
-        for g in (cycle(5), path(6), complete(4)):
-            assert epsilon(g, 0) == independence_number(g)
-
-    def test_c5_singleton(self):
-        assert epsilon(cycle(5), mask_of([0])) == 2
-
-    def test_maximal_set_is_fixed(self):
-        g = path(6)
-        for s in maximal_independent_sets(g):
-            assert epsilon(g, s) == s.bit_count()
-
-    def test_rejects_dependent_sets(self):
-        with pytest.raises(ValueError):
-            epsilon(cycle(5), mask_of([0, 1]))
-
-    def test_bounds_and_antitone_on_catalog(self, catalog_by_n):
-        # |A| <= eps(A) <= alpha for every independent set (n <= 7), and eps
-        # never shrinks when one element is dropped; one-step chains give the
-        # full A <= B comparison by transitivity
-        for n, graphs_n in catalog_by_n.items():
-            for g in graphs_n:
-                alpha = independence_number(g)
-                for b in range(1 << g.n):
-                    if not is_independent(g, b):
-                        continue
-                    eb = epsilon(g, b)
-                    assert b.bit_count() <= eb <= alpha
-                    for v in iter_bits(b):
-                        assert epsilon(g, b ^ (1 << v)) >= eb
-
-    def test_induced_subgraph_never_beats_host(self, catalog_by_n):
-        from wellcover.graph import induced
-
-        for g in catalog_by_n[5]:
-            for keep in range(1 << g.n):
-                h, labels = induced(g, keep)
-                pos = {old: new for new, old in enumerate(labels)}
-                for a in range(1 << g.n):
-                    if a & ~keep or not is_independent(g, a):
-                        continue
-                    a_h = sum(1 << pos[v] for v in iter_bits(a))
-                    assert epsilon(g, a) >= epsilon(h, a_h)
 
 
 class TestDifferential:
@@ -312,7 +264,7 @@ class TestEnlargementCharacterizesWellCovered:
             for g in catalog_by_n[n]:
                 alpha = independence_number(g)
                 constant = all(
-                    epsilon(g, a) == alpha
+                    epsilon_by_supersets(g, a) == alpha
                     for a in range(1 << g.n)
                     if is_independent(g, a)
                 )

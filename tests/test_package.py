@@ -1,5 +1,6 @@
 """The package's surface: its top-level exports are the README's Library
-block, and the library imports nothing beyond the standard library."""
+block, the library imports nothing beyond the standard library, and every
+definition in it is read by the program."""
 
 import ast
 import re
@@ -58,3 +59,37 @@ def test_readme_report_keys_are_the_report_fields():
     assert block, "README has no report key list"
     documented = re.findall(r'"(\w+)"', block.group(1))
     assert documented == list(class_report(cycle(5)).to_json_dict())
+
+
+def test_every_definition_is_read():
+    # each undecorated, non-dunder top-level def or class of the package is
+    # read by name (a loaded name or attribute, or a from-import) in src/ or
+    # perfbench/ outside its own body: a definition only tests read is dead
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                reads.setdefault(name, []).append((path, node.lineno))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (
+                not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.decorator_list
+                or node.name.startswith("__")
+            ):
+                continue
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in reads.get(node.name, ())
+            ):
+                unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unread, unread
