@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         kmax(p)
         p.add_argument("--strict", action="store_true", help="promote parse errors to fatal")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (default $WELLCOVER_JOBS or 1)")
+                       help="parallel workers, started after about 0.5 s of "
+                       "serial work and capped at the usable CPUs (default "
+                       "$WELLCOVER_JOBS or 1)")
 
     p = sub.add_parser("analyze", help="full hierarchy report for one graph")
     p.add_argument("graph", help="graph6 string or generator spec (cycle:7, biclique:2x3, ...)")

@@ -72,23 +72,6 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
-    def from_adj(cls, adj) -> "Graph":
-        """Build from a sequence of neighborhood bitmasks, validating invariants."""
-        adj = tuple(adj)
-        n = len(adj)
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {n}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v} is not allowed")
-        for v, row in enumerate(adj):
-            for u in iter_bits(row):
-                if not adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        return cls._raw(n, adj)
-
-    @classmethod
     def _raw(cls, n: int, adj: tuple) -> "Graph":
         # internal fast path: caller guarantees the invariants
         g = object.__new__(cls)
@@ -105,12 +88,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if u < v]

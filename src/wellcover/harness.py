@@ -12,14 +12,12 @@ assumed.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Iterator
-from contextlib import ExitStack
-from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
-from . import catalog as cat
 from .classify import (
     SCHEMA_VERSION,
     GraphContext,
@@ -28,7 +26,6 @@ from .classify import (
     is_in_w_generic,
     is_simplicial_graph,
 )
-from .constructions import CoronaFamily, corona, corona_uniform, concatenate, join
 from .graph import (
     Graph,
     Graph6Error,
@@ -54,20 +51,30 @@ from .independence import _iter_maximal_independent, _nbhd, can_match_into
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# plain classes, not dataclasses, so that ``verify`` does not import
+# dataclasses (and with it inspect)
 class TheoremVerdict:
-    theorem_id: str
-    graph_id: str
-    applicable: bool
-    holds: bool
-    witness: object = None
-    elapsed: float = 0.0
+    """One theorem's verdict on one graph or grid point."""
 
-    def __post_init__(self):
-        if not self.applicable and (not self.holds or self.witness is not None):
+    def __init__(
+        self,
+        theorem_id: str,
+        graph_id: str,
+        applicable: bool,
+        holds: bool,
+        witness: object = None,
+        elapsed: float = 0.0,
+    ):
+        if not applicable and (not holds or witness is not None):
             raise ValueError("inapplicable verdicts are vacuously true, without witness")
-        if self.witness is not None and self.holds:
+        if witness is not None and holds:
             raise ValueError("a witness documents a failure")
+        self.theorem_id = theorem_id
+        self.graph_id = graph_id
+        self.applicable = applicable
+        self.holds = holds
+        self.witness = witness
+        self.elapsed = elapsed
 
     def to_json_dict(self) -> dict:
         return {
@@ -706,12 +713,17 @@ def _is_complete_graph(h: Graph) -> bool:
 
 # Each grid runner yields (graph, holds, witness) per grid point; run_grid
 # turns them into verdicts and keeps the witness only where the check fails.
+# The runners import the catalog and the constructions themselves, so that a
+# survey or verify without grids loads neither.
 
 
 def _grid_corona(k, bounds):
     """prop.corona-wc (k = 1): a corona is well-covered iff every attachment
     is complete.  prop.corona-w2 (k = 2): a corona is a level-2 member iff
     attachments are complete on >= 2 vertices at non-isolated base vertices."""
+    from . import catalog as cat
+    from .constructions import CoronaFamily, corona
+
     for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         for names in product(CORONA_ATTACHMENT_POOL, repeat=base.n):
             fam = CoronaFamily(base, tuple(_pool_graph(s) for s in names))
@@ -729,6 +741,9 @@ def _grid_corona(k, bounds):
 def _grid_corona_k1wc(bounds):
     """cor.corona-k1wc: a complete-attachment corona over a base with edges is
     1-well-covered iff the attachment has >= 2 vertices."""
+    from . import catalog as cat
+    from .constructions import corona_uniform
+
     for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
         if base.edge_count() == 0:
             continue
@@ -741,6 +756,9 @@ def _grid_corona_k1wc(bounds):
 def _grid_corona_bipartite_2mis(bounds):
     """thm.corona-bipartite-2mis: a pendant corona has two disjoint maximum
     independent sets iff the base is bipartite."""
+    from . import catalog as cat
+    from .constructions import corona_uniform
+
     for h in cat.graphs_up_to(bounds.get("h_max_n", 5)):
         g = corona_uniform(h, complete(1))
         holds = (GraphContext(g).disjoint_mis_max(2) == 2) == (is_bipartite(h) is not None)
@@ -752,6 +770,9 @@ def _grid_join(k, bounds):
     well-covered with equal independence numbers.  prop.join-w2 (k = 2): a
     join is a level-2 member iff all parts are, with equal independence
     numbers."""
+    from . import catalog as cat
+    from .constructions import join
+
     parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5))]
     for i, c1 in enumerate(parts):
         for c2 in parts[i:]:
@@ -769,6 +790,9 @@ def _grid_join(k, bounds):
 def _grid_concat_alpha(bounds):
     """lem.concat-alpha: the independence number of a concatenation follows
     the two-branch formula."""
+    from . import catalog as cat
+    from .constructions import concatenate
+
     bases = [
         GraphContext(b)
         for b in cat.graphs_up_to(bounds.get("base_max_n", 4), connected=True)
@@ -797,6 +821,8 @@ def _grid_concat_alpha(bounds):
 def _grid_concat_hierarchy(bounds):
     """thm.concat-hierarchy: concatenation drops the hierarchy level by at
     most one (levels 2 and 3)."""
+    from . import catalog as cat
+
     parts = cat.graphs_up_to(bounds.get("part_max_n", 6))
     for base, v, hctx, ctx in _concatenation_sweep(parts, bounds.get("base_max_n", 3), 2):
         h_w3 = hctx.in_w(3)
@@ -884,18 +910,19 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# a plain class for the same reason as TheoremVerdict
 class SurveyReport:
     """A survey in progress.  Iterating it yields one record per graph, in
     input order, and folds each record into the counters below, which are
     final once the iteration ends."""
 
-    aggregates: dict = field(default_factory=dict)    # per-order counters
-    failures: list = field(default_factory=list)      # verdicts of proven theorems that failed
-    parse_errors: list = field(default_factory=list)  # (line_number, message)
-    graphs: int = 0
-    elapsed: float = 0.0
-    _records: Iterator = field(default=iter(()), repr=False)
+    def __init__(self):
+        self.aggregates = {}    # per-order counters
+        self.failures = []      # verdicts of proven theorems that failed
+        self.parse_errors = []  # (line_number, message)
+        self.graphs = 0
+        self.elapsed = 0.0
+        self._records = iter(())
 
     def __iter__(self) -> Iterator[dict]:
         return self._records
@@ -958,8 +985,10 @@ def survey_catalog(
     included.  Parse failures are recorded with their line numbers and skipped,
     unless ``strict``: then the records before the first malformed line come
     out and the iteration raises ``Graph6Error``.  ``jobs`` > 1 spreads the
-    per-graph work over that many worker processes without changing the
-    records.
+    per-graph work over that many worker processes, capped at the CPUs the
+    process may use, without changing the records; the workers start only
+    once the survey has run serially for ``POOL_AFTER_S`` (about 0.5 s), so
+    a short survey starts none.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -970,29 +999,60 @@ def survey_catalog(
     return report
 
 
+# A survey with jobs > 1 hands the rest of its stream to the worker pool only
+# after computing records serially for this many seconds.  Importing
+# multiprocessing and its pool and forking two workers takes 20-30 ms, and
+# each graph and record then crosses a pipe, while one order-8 or order-9
+# graph takes 0.5-0.9 ms (in-process, 2-vCPU Xeon).  So the benchmark's
+# 240-graph verify ran barely faster at --jobs 2 than at --jobs 1 (pool
+# speed-up 0.95-1.11) and spent more CPU time.  Half a second of serial work
+# makes that start-up a few per cent of any run that reaches the pool, and a
+# long run gives up at most half a second of parallel work.
+POOL_AFTER_S = 0.5
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _survey_stream(report, lines, k_max, connected, strict, jobs):
     t0 = time.perf_counter()
-    stopped = []  # the strict-mode parse error that ended the input
     work = _read_graphs(lines, connected, None if strict else report.parse_errors)
     survey_one = partial(_survey_one, k_max)
-    with ExitStack() as stack:
-        if jobs == 1:
-            records = map(survey_one, work)
-        else:
-            import multiprocessing  # 10 ms of start-up that serial commands skip
-
-            pool = stack.enter_context(multiprocessing.Pool(jobs))
-            # the pool reads its input on a thread of its own and would drop
-            # the records of a partly read chunk if that read raised, so the
-            # error is held back until the records before it are out
-            records = pool.imap(survey_one, _until_parse_error(work, stopped), chunksize=16)
-        for record in records:
-            report._fold(record)
-            yield record
-    if stopped:
-        raise stopped[0]
+    jobs = min(jobs, _usable_cpus())
+    for item in work:
+        record = survey_one(item)
+        report._fold(record)
+        yield record
+        if jobs > 1 and time.perf_counter() - t0 >= POOL_AFTER_S:
+            for record in _pooled(survey_one, work, jobs):
+                report._fold(record)
+                yield record
+            break
     report.aggregates = {n: report.aggregates[n] for n in sorted(report.aggregates)}
     report.elapsed = time.perf_counter() - t0
+
+
+def _pooled(survey_one, work, jobs):
+    """The records of the rest of ``work``, in order, from ``jobs`` worker
+    processes; an input that has ended starts none."""
+    first = next(work, None)
+    if first is None:
+        return
+    import multiprocessing  # about 20 ms of start-up that short surveys skip
+
+    stopped = []  # the strict-mode parse error that ended the input
+    with multiprocessing.Pool(jobs) as pool:
+        # the pool reads its input on a thread of its own and would drop
+        # the records of a partly read chunk if that read raised, so the
+        # error is held back until the records before it are out
+        items = _until_parse_error(chain([first], work), stopped)
+        yield from pool.imap(survey_one, items, chunksize=16)
+    if stopped:
+        raise stopped[0]
 
 
 def _until_parse_error(items, stopped: list):

@@ -3,15 +3,15 @@ conjecture, and the graph reader and concatenation sweep they share with
 the catalog survey and the construction grids.
 
 A hunt reads the catalog or a stream and runs no registered theorem, so this
-module does not import the theorem registry in ``harness``; the sweep loads
-the constructions module only when it runs.
+module does not import the theorem registry in ``harness``.  The catalog and
+the constructions are imported where they are used, so that a survey of a
+file, which reads its graphs here, loads neither.
 """
 
 from __future__ import annotations
 
 import time
 
-from . import catalog as cat
 from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, GraphContext, is_shedding
 from .graph import Graph, Graph6Error, is_connected, parse_graph6, write_graph6
 
@@ -49,6 +49,7 @@ def _concatenation_sweep(parts, base_max_n: int, k: int):
     level-k graph h of ``parts`` fused at its vertex v, looping over h, then
     v, then the base.  Yields (base, v, h's context, the concatenation's
     context)."""
+    from . import catalog as cat
     from .constructions import concatenate
 
     bases = list(cat.graphs_up_to(base_max_n, connected=True))
@@ -81,6 +82,8 @@ class HuntTarget:
     """A conjecture or open problem with search bounds."""
 
     def __init__(self, target_id: str, max_n: int = 8, k: int = 3, base_max_n: int = 3):
+        from . import catalog as cat
+
         if target_id not in HUNT_TARGET_IDS:
             raise ValueError(f"unknown hunt target {target_id!r}")
         if max_n < 1:
@@ -136,6 +139,8 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
     order; the conjecture target reports any concatenation dropping more
     than one hierarchy level.
     """
+    from . import catalog as cat
+
     t0 = time.perf_counter()
     report = HuntReport(
         target.target_id,

@@ -32,11 +32,11 @@ def graphs(draw, max_n=8, min_n=0):
 def disjoint_union(gs) -> Graph:
     """The graphs of ``gs`` side by side, each block's vertices numbered
     after those of the blocks before it."""
-    adj, shift = [], 0
+    edges, shift = [], 0
     for g in gs:
-        adj.extend(row << shift for row in g.adj)
+        edges.extend((u + shift, v + shift) for u, v in g.edges())
         shift += g.n
-    return Graph.from_adj(adj)
+    return Graph(shift, edges)
 
 
 def relabelled_random_graphs(seed: int, count: int, min_n: int, max_n: int):

@@ -274,7 +274,9 @@ class TestGoldenOutput:
         ],
         ids=["verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding", "hunt-wk-concat"],
     )
-    def test_zeroed_output_digest(self, capsys, argv, digest):
+    def test_zeroed_output_digest(self, capsys, monkeypatch, argv, digest):
+        # the --jobs 2 run hands its stream to the pool after the first record
+        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
         code, out, _ = run_cli(capsys, *argv)
         zeroed = re.sub(r'"elapsed": [-0-9.e+]+', '"elapsed": 0', out)
         assert code == 0
@@ -411,6 +413,31 @@ class TestJobsEnv:
         assert code == 2 and out == "" and "--jobs" in err
 
 
+class TestPoolOutput:
+    def test_records_printed_before_the_pool_starts_appear_once(self, tmp_path):
+        # stdout is a pipe and block-buffered: the first record, printed by
+        # the parent before the workers were forked, must not be printed again
+        src = tmp_path / "graphs.g6"
+        src.write_text("".join(write_graph6(cycle(n)) + "\n" for n in range(3, 11)) * 5)
+        script = (
+            "import sys\n"
+            "from wellcover import cli, harness\n"
+            "harness.POOL_AFTER_S = 0\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", str(src), "--format", "json", "--jobs", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        docs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [doc["line"] for doc in docs[:-1]] == list(range(1, 41))
+        assert docs[-1]["graphs"] == 40
+
+
 class TestVerifyGrids:
     def test_include_grids(self, capsys):
         code, out, _ = run_cli(
@@ -482,6 +509,18 @@ class TestStartupImports:
         loaded = self.loaded("hunt", "problem.no-shedding", *source)
         assert {"wellcover.hunting", "wellcover.catalog"} <= loaded
         unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing", "pathlib"}
+        assert not loaded & unused, loaded & unused
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_of_a_short_file_loads_no_catalog_constructions_or_pool(self, tmp_path, jobs):
+        src = tmp_path / "graphs.g6"
+        src.write_text("A_\nBw\nDQw\n")
+        loaded = self.loaded("verify", str(src), "--format", "json", "--jobs", jobs)
+        assert {"wellcover.harness", "wellcover.hunting"} <= loaded
+        unused = {
+            "wellcover.catalog", "wellcover.constructions", "dataclasses", "inspect",
+            "multiprocessing", "pathlib",
+        }
         assert not loaded & unused, loaded & unused
 
     def test_conjecture_hunt_loads_no_theorem_registry(self):

@@ -154,7 +154,7 @@ class TestGenerators:
     def test_cycle(self):
         c5 = cycle(5)
         assert c5.n == 5 and c5.edge_count() == 5
-        assert all(c5.degree(v) == 2 for v in range(5))
+        assert all(row.bit_count() == 2 for row in c5.adj)
 
     def test_complete_bipartite(self):
         g = complete_bipartite(2, 3)
@@ -175,8 +175,6 @@ class TestGenerators:
             Graph(3, [(0, 0)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 5)])
-        with pytest.raises(ValueError):
-            Graph.from_adj((1, 0))  # asymmetric
 
     def test_pickle_round_trip(self):
         # survey workers receive parsed graphs
@@ -217,7 +215,7 @@ class TestStructure:
     def test_complement_degrees(self):
         g = cycle(5)
         h = complement(g)
-        assert all(h.degree(v) == 2 for v in range(5))
+        assert all(row.bit_count() == 2 for row in h.adj)
 
 
 class TestCanonicalForm:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wellcover import catalog as cat
+from wellcover import harness
 from wellcover.classify import class_report
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
@@ -224,7 +225,9 @@ class TestSurvey:
             list(survey_catalog(["!!"], strict=True))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_strict_yields_records_before_the_bad_line(self, jobs):
+    def test_strict_yields_records_before_the_bad_line(self, jobs, monkeypatch):
+        # at jobs 2 the pool takes over after the first record
+        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
         records = []
         with pytest.raises(Graph6Error):
             for record in survey_catalog(["A_", "Bw", "!!", "BW"], strict=True, jobs=jobs):
@@ -254,22 +257,95 @@ class TestSurvey:
         report = survey_catalog(lines, connected=True)
         assert [r["line"] for r in report] == [2] and report.graphs == 1
 
-    def test_determinism_and_jobs(self):
+    def test_determinism_and_jobs(self, monkeypatch):
+        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
         lines = [write_graph6(g) for g in cat.all_graphs(5)]
-
-        def strip(records):
-            out = []
-            for r in records:
-                r = json.loads(json.dumps(r))
-                for v in r["verdicts"]:
-                    v.pop("elapsed")
-                out.append(r)
-            return out
-
         a = survey_catalog(lines, jobs=1)
         b = survey_catalog(lines, jobs=2)
-        assert strip(a) == strip(b)
+        assert _without_elapsed(list(a)) == _without_elapsed(list(b))
         assert a.aggregates == b.aggregates and a.graphs == b.graphs == 34
+
+    def test_hand_off_in_mid_stream_keeps_the_serial_records(self, monkeypatch):
+        lines = [write_graph6(g) for g in cat.all_graphs(5)]
+        monkeypatch.setattr(harness, "POOL_AFTER_S", float("inf"))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pooled, real = [], harness._pooled
+
+        def spy(*args):
+            for record in real(*args):
+                pooled.append(record["line"])
+                yield record
+
+        monkeypatch.setattr(harness, "_pooled", spy)
+
+        def stream():
+            for line_number, line in enumerate(lines, start=1):
+                if line_number == 11:  # hand off once this line's record is out
+                    monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+                yield line
+
+        report = survey_catalog(stream(), jobs=2)
+        assert _without_elapsed(list(report)) == _without_elapsed(list(survey_catalog(lines)))
+        assert pooled == list(range(12, 35)) and report.graphs == 34
+
+    @pytest.mark.parametrize(
+        "pool_after_s, lines",
+        [(float("inf"), ["A_", "Bw", "!!", "BW"]), (0, ["A_", "!!", "Bw"])],
+        ids=["before", "at"],
+    )
+    def test_strict_error_before_the_hand_off_starts_no_pool(
+        self, monkeypatch, pool_after_s, lines
+    ):
+        # at 0 the hand-off comes after the first record, and the line it
+        # reads first is the malformed one
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(harness, "POOL_AFTER_S", pool_after_s)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        serial = []
+        with pytest.raises(Graph6Error):
+            serial.extend(survey_catalog(lines, strict=True, jobs=1))
+        records = []
+        with pytest.raises(Graph6Error):
+            records.extend(survey_catalog(lines, strict=True, jobs=2))
+        assert _without_elapsed(records) == _without_elapsed(serial)
+        assert len(records) == lines.index("!!")
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # a stand-in pool records its size and starts no process
+        import multiprocessing
+
+        sizes = []
+
+        class StandInPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize=1):
+                return map(func, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
+        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+        lines = [write_graph6(cycle(n)) for n in range(3, 7)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert len(list(survey_catalog(lines, jobs=100_000))) == 4 and sizes == [3]
+        # without the affinity call the CPU count caps it; one CPU starts no pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        list(survey_catalog(lines, jobs=100_000))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        list(survey_catalog(lines, jobs=100_000))
+        assert sizes == [3, 4]
 
 
 def _without_elapsed(doc):
@@ -663,7 +739,7 @@ class TestOutsideMembershipRemarks:
         g1 = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (3, 4), (3, 2), (2, 4)])
         assert is_quasi_regularizable(g1) and not is_well_covered(g1)
         pair = mask_of([0, 4])
-        assert not g1.has_edge(0, 4)
+        assert not g1.adj[0] >> 4 & 1
         assert _alpha(g1.adj, _nbhd(g1.adj, pair)) == 1
 
         g2 = Graph(7, [(0, 1), (1, 2), (0, 3), (1, 4), (5, 6), (2, 6), (2, 5)])

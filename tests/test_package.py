@@ -62,9 +62,10 @@ def test_readme_report_keys_are_the_report_fields():
 
 
 def test_every_definition_is_read():
-    # each undecorated, non-dunder top-level def or class of the package is
-    # read by name (a loaded name or attribute, or a from-import) in src/ or
-    # perfbench/ outside its own body: a definition only tests read is dead
+    # each undecorated, non-dunder top-level def or class of the package, and
+    # each such method of a top-level class, is read by name (a loaded name
+    # or attribute, or a from-import) in src/ or perfbench/ outside its own
+    # body: a definition only tests read is dead
     reads: dict[str, list[tuple[Path, int]]] = {}
     for path in sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -80,7 +81,9 @@ def test_every_definition_is_read():
                 reads.setdefault(name, []).append((path, node.lineno))
     unread = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        top = ast.parse(path.read_text()).body
+        methods = [n for c in top if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in top + methods:
             if (
                 not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 or node.decorator_list
