@@ -409,8 +409,9 @@ class GraphContext:
 
     A field is the value of this package's routine for that invariant, so
     readers sharing a context share its work and keep their own semantics.
-    The omega index tables (``contains``, ``omega_disjoint``,
-    ``omega_avoiding``) exist only here.
+    Omega is held once, with its one index ``contains``; every question
+    about k pairwise disjoint maximum independent sets is one
+    ``_omega_packing`` call over omega or a selection from it.
     """
 
     def __init__(self, g: Graph):
@@ -479,30 +480,6 @@ class GraphContext:
                 if a & ~s == 0:
                     m |= 1 << j
             out[a] = m
-        return out
-
-    @cached_property
-    def omega_disjoint(self) -> list[int]:
-        # disj[i] = bitmask of omega indices disjoint from omega[i]
-        out = []
-        for s in self.omega:
-            m = 0
-            for j, t in enumerate(self.omega):
-                if s & t == 0:
-                    m |= 1 << j
-            out.append(m)
-        return out
-
-    @cached_property
-    def omega_avoiding(self) -> list[int]:
-        # avoid[v] = bitmask of omega indices whose set misses vertex v
-        out = []
-        for v in range(self.g.n):
-            m = 0
-            for j, s in enumerate(self.omega):
-                if not s >> v & 1:
-                    m |= 1 << j
-            out.append(m)
         return out
 
     @cached_property

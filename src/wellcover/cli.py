@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, class_report
@@ -130,19 +129,9 @@ def _close(stream):
 
 
 def _jobs(args) -> int:
-    jobs, name = args.jobs, "--jobs"
-    if jobs is None:
-        env = os.environ.get("WELLCOVER_JOBS")
-        if not env:
-            return 1
-        name = "WELLCOVER_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError(f"{name} must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise UsageError(f"{name} must be >= 1, got {jobs}")
-    return jobs
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _print_report_table(rep: dict, out):
@@ -173,7 +162,6 @@ def cmd_construct(args) -> int:
         concatenation_blocks,
         corona,
         corona_blocks,
-        corona_uniform,
         join,
     )
 
@@ -183,12 +171,9 @@ def cmd_construct(args) -> int:
             raise UsageError("corona needs --base and --parts")
         base = parse_graph_spec(args.base)
         parts = [parse_graph_spec(s) for s in args.parts.split(",")]
-        if len(parts) == 1:
-            g = corona_uniform(base, parts[0])
-            fam = CoronaFamily(base, (parts[0],) * base.n)
-        else:
-            fam = CoronaFamily(base, tuple(parts))
-            g = corona(fam)
+        # one part is attached at every base vertex, as by corona_uniform
+        fam = CoronaFamily(base, parts * base.n if len(parts) == 1 else parts)
+        g = corona(fam)
         operands.update(
             base=write_graph6(base),
             parts=[write_graph6(h) for h in fam.attachments],
@@ -370,10 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         stream(p)
         kmax(p)
         p.add_argument("--strict", action="store_true", help="promote parse errors to fatal")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers, started after about 0.5 s of "
-                       "serial work and capped at the usable CPUs (default "
-                       "$WELLCOVER_JOBS or 1)")
+                       "serial work and capped at the usable CPUs (default 1)")
 
     p = sub.add_parser("analyze", help="full hierarchy report for one graph")
     p.add_argument("graph", help="graph6 string or generator spec (cycle:7, biclique:2x3, ...)")

@@ -8,23 +8,20 @@ base-vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, iter_bits
 
 
-@dataclass(frozen=True)
+# a plain class, not a dataclass, so that ``construct`` and the corona grids
+# do not import dataclasses (and with it inspect)
 class CoronaFamily:
     """A base graph with one attachment graph per base vertex."""
 
-    base: Graph
-    attachments: tuple[Graph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "attachments", tuple(self.attachments))
-        if len(self.attachments) != self.base.n:
+    def __init__(self, base: Graph, attachments):
+        self.base = base
+        self.attachments = tuple(attachments)
+        if len(self.attachments) != base.n:
             raise ValueError(
-                f"need {self.base.n} attachment graphs, got {len(self.attachments)}"
+                f"need {base.n} attachment graphs, got {len(self.attachments)}"
             )
         if any(h.n < 1 for h in self.attachments):
             raise ValueError("every attachment graph needs at least one vertex")

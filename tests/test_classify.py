@@ -400,41 +400,8 @@ class TestClassReport:
 
 
 class TestHierarchyOracle:
-    """Third route: quantify over all ordered disjoint tuples with no
-    family-maximal reduction, extending via the maximum-set list directly."""
-
-    @staticmethod
-    def _oracle(g, k):
-        if g.n == 0:
-            return True
-        ind = [m for m in range(1 << g.n) if is_independent(g, m)]
-        from wellcover.independence import maximum_independent_sets
-
-        omega = maximum_independent_sets(g)
-
-        def extend(fam):
-            def rec(i, used):
-                if i == len(fam):
-                    return True
-                for s in omega:
-                    if fam[i] & ~s == 0 and not s & used:
-                        if rec(i + 1, used | s):
-                            return True
-                return False
-
-            return rec(0, 0)
-
-        def rec_fam(i, fam, used):
-            if i == k:
-                return extend(fam)
-            for a in ind:
-                if a & used:
-                    continue
-                if not rec_fam(i + 1, fam + [a], used | a):
-                    return False
-            return True
-
-        return rec_fam(0, [], 0)
+    """Third route: the definition itself (``oracles.w_member_by_families``),
+    which finds the maximum independent sets by testing every vertex subset."""
 
     def test_three_routes_agree_on_random_graphs(self):
         import random
@@ -450,14 +417,14 @@ class TestHierarchyOracle:
             ]
             g = Graph(n, edges)
             for k in (1, 2, 3):
-                expected = self._oracle(g, k)
+                expected = w_member_by_families(g, k)
                 assert is_in_w(g, k) == expected, (n, edges, k)
                 assert is_in_w_generic(g, k) == expected, (n, edges, k)
 
     def test_three_routes_agree_on_catalog(self, catalog_by_n):
         for g in catalog_by_n[5]:
             for k in (1, 2, 3, 4):
-                expected = self._oracle(g, k)
+                expected = w_member_by_families(g, k)
                 assert is_in_w(g, k) == expected
                 assert is_in_w_generic(g, k) == expected
 

@@ -396,18 +396,6 @@ class TestHunt:
 
 
 class TestJobsEnv:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("WELLCOVER_JOBS", "2")
-        code, out, _ = run_cli(capsys, "survey", "cycles:3..6", "--format", "json")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 5
-
-    @pytest.mark.parametrize("env", ["0", "-1", "two"])
-    def test_bad_env_exits_2(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("WELLCOVER_JOBS", env)
-        code, out, err = run_cli(capsys, "survey", "cycles:3..6")
-        assert code == 2 and out == "" and env in err
-
     def test_jobs_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "cycles:3..6", "--jobs", "0")
         assert code == 2 and out == "" and "--jobs" in err
@@ -503,6 +491,14 @@ class TestStartupImports:
         loaded = self.loaded("construct", "join", "--parts", "complete:2,complete:2")
         assert "wellcover.constructions" in loaded
         assert not loaded & {"wellcover.harness", "wellcover.catalog"}
+
+    def test_construct_corona_loads_no_dataclasses(self):
+        loaded = self.loaded(
+            "construct", "corona", "--base", "path:2", "--parts", "complete:2"
+        )
+        assert "wellcover.constructions" in loaded
+        unused = {"dataclasses", "inspect"}
+        assert not loaded & unused, loaded & unused
 
     @pytest.mark.parametrize("source", [["--max-n", "3"], ["catalog:1..3"]])
     def test_hunt_loads_no_theorem_registry(self, source):

@@ -716,6 +716,16 @@ class TestOutsideMembershipRemarks:
         assert _chk_w2_degree_bound(ctx)[0]
         assert _chk_w2_differential_bound(ctx)[0]
 
+    def test_k2_has_no_two_disjoint_maximum_sets_avoiding_a_vertex(self):
+        # the gate keeps the single edge out, so the check is called
+        # directly: of K2's maximum sets {0} and {1}, only {1} avoids vertex 0
+        from wellcover.harness import _chk_w2_properties
+
+        ctx = GraphContext(parse_graph6("A_"))
+        assert _chk_w2_properties(ctx) == (
+            False, {"item": "two_disjoint_maximum_sets_avoiding_vertex", "vertex": 0}
+        )
+
     def test_c9_enjoys_the_corollaries_without_membership(self):
         from wellcover.harness import (
             _chk_w2_degree_bound,
