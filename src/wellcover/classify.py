@@ -5,19 +5,20 @@ The hierarchy classes are nested: level k membership means every k pairwise
 disjoint independent sets extend to k pairwise disjoint maximum independent
 sets.  Families are allowed to contain empty sets, so membership at level k
 forces k pairwise disjoint maximum independent sets to exist on any nonempty
-graph; ``is_in_w_generic`` can evaluate the stricter nonempty-family reading
-as well.  On a nonempty graph the two readings disagree exactly at the levels
-k > n that the graph misses: for k <= n the empty sets of a family are
-replaced by singletons of uncovered vertices, or else the family refines into
-k nonempty parts partitioning V that could extend only if alpha = 1.
+graph.  On a nonempty graph this reading and the stricter nonempty-family
+one disagree exactly at the levels k > n that the graph misses: for k <= n
+the empty sets of a family are replaced by singletons of uncovered vertices,
+or else the family refines into k nonempty parts partitioning V that could
+extend only if alpha = 1.
 
 Levels are decided by the vertex-deletion characterization of Staples ("On
 some subclasses of well-covered graphs", J. Graph Theory 3, 1979): level 1
 is well-coveredness, and for k >= 2 a graph is a level-k member iff, for
 every vertex v, alpha(G - v) = alpha(G) and G - v is a level-(k-1) member.
 The recursion runs on vertex masks of one adjacency and is memoized on
-(mask, k).  ``is_in_w_generic``, which enumerates disjoint families straight
-from the definition, is the reference oracle the recursion is tested against.
+(mask, k); it is the package's one level-k routine.  The harness checks the
+definition itself only at level 2, in ``thm.w2-equivalence``, and the tests
+check the recursion against enumerations of disjoint families.
 
 ``GraphContext`` holds the per-graph invariants (alpha, the maximum
 independent sets, the level memo, the shedding and simplicial vertices, the
@@ -25,9 +26,9 @@ simplexes and their partition, the girth, and the report's other fields),
 each computed on first use and then cached; its level memo also answers alpha
 and well-coveredness of every vertex submask, and disjoint maximum
 independent sets are packed from its cached list of them.  ``class_report``,
-``w_level``, ``is_in_w_generic``, the simplex predicates and the theorem and
-hunt drivers accept a context in place of a graph, so one graph's invariants
-are computed once however many of them read it.
+``w_level``, the simplex predicates and the theorem and hunt drivers accept
+a context in place of a graph, so one graph's invariants are computed once
+however many of them read it.
 """
 
 from __future__ import annotations
@@ -137,100 +138,12 @@ def is_in_w(g: Graph, k: int) -> bool:
 
     Decided by the deletion characterization (Staples 1979): for k >= 2, G is
     a member iff alpha(G - v) = alpha(G) and G - v is a level-(k-1) member for
-    every vertex v; level 1 is well-coveredness.  ``is_in_w_generic`` is the
-    reference oracle.
+    every vertex v; level 1 is well-coveredness.  The tests check it
+    against enumerations of disjoint families.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     return _in_w_mask(g.adj, g.full_mask, k, {})
-
-
-def is_in_w_generic(g: Graph | GraphContext, k: int, nonempty: bool = False) -> bool:
-    """Reference level-k membership by enumerating disjoint families.
-
-    This is the definition itself and the oracle for ``is_in_w``, which
-    decides the same question by the deletion characterization (Staples
-    1979); production calls it only where the definition-level reading is
-    the point: the predicate that cross-checks the level-2 characterizations.
-
-    It suffices to test family-maximal tuples (every vertex outside the
-    union has a neighbor in each member): shrinking a component preserves
-    extendability, and every family grows componentwise to a family-maximal
-    one.  So the last member of a tuple must hold each outside vertex that
-    an earlier member leaves without a neighbor; when those vertices are not
-    independent no last member can, and the last slot is skipped.  The
-    pruning drops only tuples that are not family-maximal.  With
-    ``nonempty`` the quantification runs over families of nonempty sets,
-    the reading under which a too-small graph is vacuously a member.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ctx = _context(g)
-    adj, full = ctx.adj, ctx.full
-    if ctx.g.n == 0:
-        return True
-    ind, omega, contains = ctx.ind, ctx.omega, ctx.contains
-
-    def extends(tup: list[int]) -> bool:
-        # pairwise disjoint members of omega, one containing each set of tup,
-        # the sets with the fewest candidates first
-        idx_masks = sorted((contains[a] for a in tup), key=int.bit_count)
-
-        def rec(i: int, used: int) -> bool:
-            if i == len(idx_masks):
-                return True
-            m = idx_masks[i]
-            while m:
-                b = m & -m
-                j = b.bit_length() - 1
-                m ^= b
-                if not omega[j] & used:
-                    if rec(i + 1, used | omega[j]):
-                        return True
-            return False
-
-        return rec(0, 0)
-
-    family: list[int] = []
-
-    def last_slot(min_index: int, union: int, dominated: int) -> bool:
-        forced = full & ~union & ~dominated
-        if forced not in contains:  # not independent
-            return True
-        for i in range(min_index, len(ind)):
-            a = ind[i]
-            if a & forced != forced or a & union or (nonempty and a == 0):
-                continue
-            # forced lies in a, so every other outside vertex is dominated
-            # by the earlier members; a must dominate it as well
-            if full & ~(union | a) & ~_nbhd(adj, a):
-                continue
-            if not extends(family + [a]):
-                return False
-        return True
-
-    # unordered families: enumerate with non-decreasing indices (empty sets
-    # may repeat, so the same index may be reused only for the empty set);
-    # ``dominated`` holds the vertices with a neighbor in every member so far
-    def rec_unordered(min_index: int, union: int, dominated: int) -> bool:
-        if len(family) == k - 1:
-            return last_slot(min_index, union, dominated)
-        for i in range(min_index, len(ind)):
-            a = ind[i]
-            if nonempty and a == 0:
-                continue
-            if a & union:
-                continue
-            family.append(a)
-            ok = rec_unordered(
-                i if a == 0 else i + 1, union | a, dominated & _nbhd(adj, a)
-            )
-            family.pop()
-            if not ok:
-                return False
-        return True
-
-    return rec_unordered(0, 0, full)
 
 
 def w_level(g: Graph | GraphContext, k_max: int) -> int:
@@ -409,9 +322,8 @@ class GraphContext:
 
     A field is the value of this package's routine for that invariant, so
     readers sharing a context share its work and keep their own semantics.
-    Omega is held once, with its one index ``contains``; every question
-    about k pairwise disjoint maximum independent sets is one
-    ``_omega_packing`` call over omega or a selection from it.
+    Omega is held once: every question about k pairwise disjoint maximum
+    independent sets is one ``_omega_packing`` call over it or a subset.
     """
 
     def __init__(self, g: Graph):
@@ -469,18 +381,6 @@ class GraphContext:
         if self.g.n == 0:
             return k
         return len(_omega_packing(self.omega, k))
-
-    @cached_property
-    def contains(self) -> dict[int, int]:
-        # independent set -> bitmask of omega indices containing it
-        out = {}
-        for a in self.ind:
-            m = 0
-            for j, s in enumerate(self.omega):
-                if a & ~s == 0:
-                    m |= 1 << j
-            out[a] = m
-        return out
 
     @cached_property
     def shed(self) -> int:

@@ -78,9 +78,12 @@ def iter_source_lines(source: str, input_path: str | None):
     """The input stream: graph6 lines from --input, a path or '-', or the
     ``Graph`` objects of a generator spec, which need no graph6 round trip.
 
-    The source is resolved here, before any line is read: a bad spec or an
-    unreadable file is a usage error before the command writes any output.
+    The source is resolved here, before any line is read: a bad spec, an
+    unreadable file or a stream given both ways is a usage error before the
+    command writes any output.
     """
+    if source is not None and input_path is not None:
+        raise UsageError("give the stream as a source or as --input, not both")
     where = input_path or source
     if where is None:
         raise UsageError("no input given")

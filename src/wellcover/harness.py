@@ -23,7 +23,6 @@ from .classify import (
     GraphContext,
     _context,
     class_report,
-    is_in_w_generic,
     is_simplicial_graph,
 )
 from .graph import (
@@ -113,23 +112,39 @@ def _agree(**named):
 
 def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     """The seven equivalent characterizations, each evaluated independently."""
-    g, full = ctx.g, ctx.full
-    alpha, omega, contains = ctx.alpha, ctx.omega, ctx.contains
-    non_max = [a for a in ctx.ind if a.bit_count() < alpha]
+    g, adj, full = ctx.g, ctx.adj, ctx.full
+    alpha, omega, ind = ctx.alpha, ctx.omega, ctx.ind
+    non_max = [a for a in ind if a.bit_count() < alpha]
     supersets: dict[int, list[int]] = {}
 
     def sups(a: int) -> list[int]:
         # the maximum independent sets containing a, listed on first use
         if a not in supersets:
-            supersets[a] = [omega[j] for j in iter_bits(contains[a])]
+            supersets[a] = [s for s in omega if not a & ~s]
         return supersets[a]
+
+    def pairs_extend(i: int, a: int) -> bool:
+        # the family-maximal pairs (a, b), b after a in ind, have disjoint
+        # maximum supersets: b holds forced, the outside vertices with no
+        # neighbour in a, and each vertex outside a | b has a neighbour in b
+        forced = full & ~(a | _nbhd(adj, a))
+        if _nbhd(adj, forced) & forced:  # no independent b holds forced
+            return True
+        return all(
+            any(not s & t for s in sups(a) for t in sups(b))
+            for b in ind[i + 1:]
+            if not (forced & ~b or a & b or full & ~(a | b | _nbhd(adj, b)))
+        )
 
     p1 = not ctx.is_p3() and all(ctx.in_w(1, full ^ (1 << v)) for v in range(g.n))
     p2 = ctx.one_well_covered
-    p3 = is_in_w_generic(ctx, 2)
+    # the definition, on the family-maximal pairs alone: shrinking a member
+    # keeps a pair extendable, and every pair grows to one of them; (∅, ∅) is
+    # one only on the empty graph, where it extends
+    p3 = all(pairs_extend(i, a) for i, a in enumerate(ind))
     # two maximum supersets of a that meet only in a
     p4 = all(len(_omega_packing([s ^ a for s in sups(a)], 2)) == 2 for a in non_max)
-    p5 = all(contains[a].bit_count() >= 2 for a in non_max)
+    p5 = all(len(sups(a)) >= 2 for a in non_max)
     # some maximum superset of a avoids each b disjoint from a: a superset s
     # with b & s == 0 (map, not any() over a generator per pair: half the cost)
     p6 = all(0 in map(b.__and__, sups(a)) for a in non_max for b in non_max if not a & b)
@@ -670,20 +685,20 @@ def _is_complete_graph(h: Graph) -> bool:
     return h.n >= 1 and h.edge_count() == h.n * (h.n - 1) // 2
 
 
-# Each grid runner yields (graph, holds, witness) per grid point; run_grid
-# turns them into verdicts and keeps the witness only where the check fails.
-# The runners import the catalog and the constructions themselves, so that a
-# survey or verify without grids loads neither.
+# Each grid runner takes its bounds as keywords and yields (graph, holds,
+# witness) per grid point; run_grid keeps the witness only where the check
+# fails.  The runners import the catalog and the constructions themselves, so
+# that a survey or verify without grids loads neither.
 
 
-def _grid_corona(k, bounds):
+def _grid_corona(k, base_max_n=4):
     """prop.corona-wc (k = 1): a corona is well-covered iff every attachment
     is complete.  prop.corona-w2 (k = 2): a corona is a level-2 member iff
     attachments are complete on >= 2 vertices at non-isolated base vertices."""
     from . import catalog as cat
     from .constructions import CoronaFamily, corona
 
-    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
+    for base in cat.graphs_up_to(base_max_n):
         for names in product(CORONA_ATTACHMENT_POOL, repeat=base.n):
             fam = CoronaFamily(base, [CORONA_ATTACHMENT_POOL[s] for s in names])
             g = corona(fam)
@@ -697,34 +712,34 @@ def _grid_corona(k, bounds):
             yield g, GraphContext(g).in_w(k) == expected, wit
 
 
-def _grid_corona_k1wc(bounds):
+def _grid_corona_k1wc(base_max_n=4, p_max=3):
     """cor.corona-k1wc: a complete-attachment corona over a base with edges is
     1-well-covered iff the attachment has >= 2 vertices."""
     from . import catalog as cat
     from .constructions import corona_uniform
 
-    for base in cat.graphs_up_to(bounds.get("base_max_n", 4)):
+    for base in cat.graphs_up_to(base_max_n):
         if base.edge_count() == 0:
             continue
-        for p in range(1, bounds.get("p_max", 3) + 1):
+        for p in range(1, p_max + 1):
             g = corona_uniform(base, complete(p))
             holds = GraphContext(g).one_well_covered == (p >= 2)
             yield g, holds, {"base": write_graph6(base), "p": p}
 
 
-def _grid_corona_bipartite_2mis(bounds):
+def _grid_corona_bipartite_2mis(h_max_n=5):
     """thm.corona-bipartite-2mis: a pendant corona has two disjoint maximum
     independent sets iff the base is bipartite."""
     from . import catalog as cat
     from .constructions import corona_uniform
 
-    for h in cat.graphs_up_to(bounds.get("h_max_n", 5)):
+    for h in cat.graphs_up_to(h_max_n):
         g = corona_uniform(h, complete(1))
         holds = (GraphContext(g).disjoint_mis_max(2) == 2) == (is_bipartite(h) is not None)
         yield g, holds, {"h": write_graph6(h)}
 
 
-def _grid_join(k, bounds):
+def _grid_join(k, part_max_n=5):
     """prop.join-wc (k = 1): a join is well-covered iff all parts are
     well-covered with equal independence numbers.  prop.join-w2 (k = 2): a
     join is a level-2 member iff all parts are, with equal independence
@@ -732,7 +747,7 @@ def _grid_join(k, bounds):
     from . import catalog as cat
     from .constructions import join
 
-    parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5))]
+    parts = [GraphContext(h) for h in cat.graphs_up_to(part_max_n)]
     for i, c1 in enumerate(parts):
         for c2 in parts[i:]:
             g = join([c1.g, c2.g])
@@ -746,7 +761,7 @@ def _grid_join(k, bounds):
             yield g, GraphContext(g).in_w(k) == expected, wit
 
 
-def _grid_concat_alpha(bounds):
+def _grid_concat_alpha(base_max_n=4, part_max_n=5):
     """lem.concat-alpha: the independence number of a concatenation follows
     the two-branch formula."""
     from . import catalog as cat
@@ -754,10 +769,10 @@ def _grid_concat_alpha(bounds):
 
     bases = [
         GraphContext(b)
-        for b in cat.graphs_up_to(bounds.get("base_max_n", 4), connected=True)
+        for b in cat.graphs_up_to(base_max_n, connected=True)
         if b.n >= 2
     ]
-    parts = [GraphContext(h) for h in cat.graphs_up_to(bounds.get("part_max_n", 5)) if h.n >= 2]
+    parts = [GraphContext(h) for h in cat.graphs_up_to(part_max_n) if h.n >= 2]
     for bctx in bases:
         base = bctx.g
         for hctx in parts:
@@ -777,13 +792,13 @@ def _grid_concat_alpha(bounds):
                 yield g, GraphContext(g).alpha == expected, wit
 
 
-def _grid_concat_hierarchy(bounds):
+def _grid_concat_hierarchy(base_max_n=3, part_max_n=6):
     """thm.concat-hierarchy: concatenation drops the hierarchy level by at
     most one (levels 2 and 3)."""
     from . import catalog as cat
 
-    parts = cat.graphs_up_to(bounds.get("part_max_n", 6))
-    for base, v, hctx, ctx in _concatenation_sweep(parts, bounds.get("base_max_n", 3), 2):
+    parts = cat.graphs_up_to(part_max_n)
+    for base, v, hctx, ctx in _concatenation_sweep(parts, base_max_n, 2):
         h_w3 = hctx.in_w(3)
         ok = ctx.in_w(1) and (not h_w3 or ctx.in_w(2))
         wit = {
@@ -851,9 +866,14 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
         if theorem_id in GRAPH_THEOREMS:
             raise ValueError(f"{theorem_id!r} is a per-graph theorem; use run_suite")
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    try:
+        # the runners are generators, so the call only binds the bounds
+        points = GRID_THEOREMS[theorem_id](**(bounds or {}))
+    except TypeError as exc:
+        raise ValueError(f"bad bound for {theorem_id!r}: {exc}") from None
     out = []
     t0 = time.perf_counter()
-    for g, holds, witness in GRID_THEOREMS[theorem_id](bounds or {}):
+    for g, holds, witness in points:
         out.append(
             TheoremVerdict(
                 theorem_id, write_graph6(g), True, holds, None if holds else witness,

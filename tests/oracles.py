@@ -1,10 +1,16 @@
 """Exhaustive reference computations the library's fast routines are tested
 against.  Each is the definition itself, scanned by brute force, and shares
-no code with the routine it checks."""
+no code with the routine it checks.
+
+``is_in_w_generic`` is the one that is not brute force: it enumerates the
+level-k definition's families with pruning, reading Ind(G) and Omega from a
+``GraphContext``, so that sweeps to order 8 stay fast.  It is itself checked
+against ``w_member_by_families``, which finds every set by subset tests."""
 
 from itertools import permutations, product
 
 from wellcover import catalog as cat
+from wellcover.classify import _context
 from wellcover.constructions import corona_uniform
 from wellcover.graph import (
     GRAPH6_HEADER,
@@ -15,7 +21,7 @@ from wellcover.graph import (
     vertices_of,
     write_graph6,
 )
-from wellcover.independence import _iter_maximal_independent, can_match_into
+from wellcover.independence import _iter_maximal_independent, _nbhd, can_match_into
 
 
 def brute_force_canonical(g: Graph) -> str:
@@ -281,6 +287,93 @@ def w_member_by_families(g: Graph, k: int, nonempty: bool = False) -> bool:
         return True
 
     return rec_unordered([], 0, 0)
+
+
+def is_in_w_generic(g, k: int, nonempty: bool = False) -> bool:
+    """Level-k membership of a graph or its ``GraphContext`` by enumerating
+    the definition's disjoint families, with or without ``nonempty`` as for
+    ``w_member_by_families``: the oracle for ``classify.is_in_w`` and for
+    the definition's predicate in ``thm.w2-equivalence``.
+
+    It suffices to test family-maximal tuples (every vertex outside the
+    union has a neighbor in each member): shrinking a component preserves
+    extendability, and every family grows componentwise to a family-maximal
+    one.  So the last member of a tuple must hold each outside vertex that
+    an earlier member leaves without a neighbor; when those vertices are not
+    independent no last member can, and the last slot is skipped.  The
+    pruning drops only tuples that are not family-maximal.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ctx = _context(g)
+    adj, full = ctx.adj, ctx.full
+    if ctx.g.n == 0:
+        return True
+    ind, omega = ctx.ind, ctx.omega
+    # independent set -> bitmask of the indices of the members of omega
+    # containing it
+    contains = {
+        a: sum(1 << j for j, s in enumerate(omega) if not a & ~s) for a in ind
+    }
+
+    def extends(tup: list[int]) -> bool:
+        # pairwise disjoint members of omega, one containing each set of tup,
+        # the sets with the fewest candidates first
+        idx_masks = sorted((contains[a] for a in tup), key=int.bit_count)
+
+        def rec(i: int, used: int) -> bool:
+            if i == len(idx_masks):
+                return True
+            m = idx_masks[i]
+            while m:
+                b = m & -m
+                j = b.bit_length() - 1
+                m ^= b
+                if not omega[j] & used:
+                    if rec(i + 1, used | omega[j]):
+                        return True
+            return False
+
+        return rec(0, 0)
+
+    family: list[int] = []
+
+    def last_slot(min_index: int, union: int, dominated: int) -> bool:
+        forced = full & ~union & ~dominated
+        if forced not in contains:  # not independent
+            return True
+        for i in range(min_index, len(ind)):
+            a = ind[i]
+            if a & forced != forced or a & union or (nonempty and a == 0):
+                continue
+            # forced lies in a, so every other outside vertex is dominated
+            # by the earlier members; a must dominate it as well
+            if full & ~(union | a) & ~_nbhd(adj, a):
+                continue
+            if not extends(family + [a]):
+                return False
+        return True
+
+    # unordered families: enumerate with non-decreasing indices (empty sets
+    # may repeat, so the same index may be reused only for the empty set);
+    # ``dominated`` holds the vertices with a neighbor in every member so far
+    def rec_unordered(min_index: int, union: int, dominated: int) -> bool:
+        if len(family) == k - 1:
+            return last_slot(min_index, union, dominated)
+        for i in range(min_index, len(ind)):
+            a = ind[i]
+            if (nonempty and a == 0) or a & union:
+                continue
+            family.append(a)
+            ok = rec_unordered(
+                i if a == 0 else i + 1, union | a, dominated & _nbhd(adj, a)
+            )
+            family.pop()
+            if not ok:
+                return False
+        return True
+
+    return rec_unordered(0, 0, full)
 
 
 def parse_graph6_by_scan(line: str) -> Graph:

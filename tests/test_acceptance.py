@@ -13,7 +13,6 @@ import pytest
 from wellcover import catalog as cat
 from wellcover.classify import (
     is_in_w,
-    is_in_w_generic,
     is_one_well_covered,
     is_shedding,
     is_very_well_covered,
@@ -50,7 +49,7 @@ from wellcover.independence import (
     maximum_matching_size,
 )
 from conftest import disjoint_union
-from oracles import matching_size_brute_force
+from oracles import is_in_w_generic, matching_size_brute_force
 from test_independence import all_subsets_maximal
 
 

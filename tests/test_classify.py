@@ -23,7 +23,6 @@ from wellcover.classify import (
     check_wk_monotonicity,
     class_report,
     is_in_w,
-    is_in_w_generic,
     is_locally_triangle_free,
     is_one_well_covered,
     is_quasi_regularizable,
@@ -43,6 +42,7 @@ from wellcover.independence import _alpha, _nbhd, _wc_scan
 from conftest import disjoint_union, graphs, relabelled_random_graphs
 from oracles import (
     _is_corona_of,
+    is_in_w_generic,
     is_independent,
     regularizability_by_subsets,
     w_member_by_families,

@@ -216,6 +216,18 @@ class TestSurvey:
         code, out, err = run_cli(capsys, "survey", source)
         assert (code, out, err) == (2, "", f"error: range {arg!r} is not N or LO..HI\n")
 
+    @pytest.mark.parametrize(
+        "command", [["survey"], ["verify"], ["hunt", "problem.no-shedding"]], ids=lambda c: c[0]
+    )
+    def test_stream_given_twice_exits_2(self, capsys, tmp_path, command):
+        # a source and --input together: neither is read in place of the other
+        a, b = tmp_path / "a.g6", tmp_path / "b.g6"
+        a.write_text(write_graph6(cycle(4)) + "\n")
+        b.write_text(write_graph6(cycle(5)) + "\n")
+        code, out, err = run_cli(capsys, *command, str(a), "-i", str(b), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: give the stream as a source or as --input, not both\n"
+
     def test_relative_files_named_like_generators(self, capsys, monkeypatch, tmp_path):
         # a source is a generator spec only when it holds a ':'
         monkeypatch.chdir(tmp_path)

@@ -38,6 +38,7 @@ from wellcover.harness import (
 from conftest import disjoint_union, relabelled_random_graphs
 from oracles import (
     berge_by_matching,
+    is_in_w_generic,
     shedding_epsilon_by_alpha,
     well_covered_without_shedding_by_subsets,
 )
@@ -167,6 +168,14 @@ class TestRunSuite:
 
 
 class TestGrids:
+    def test_unknown_bound_rejected(self):
+        # a misspelt bound is named, not dropped in favour of the default grid
+        for tid in GRID_THEOREM_IDS:
+            with pytest.raises(ValueError, match="'base_maxn'"):
+                run_grid(tid, {"base_maxn": 1})
+        with pytest.raises(ValueError, match="'k'"):
+            run_grid("prop.corona-wc", {"k": 2})
+
     def test_corona_wc_small(self):
         verdicts = run_grid("prop.corona-wc", {"base_max_n": 2})
         assert verdicts and all(v.holds for v in verdicts)
@@ -418,6 +427,27 @@ class TestSharedContext:
             calls.clear()
             run_suite(g)
             assert len(calls) <= 1, write_graph6(g)
+
+
+class TestW2DefinitionPredicate:
+    """The level-2 definition predicate of thm.w2-equivalence, which tests
+    family-maximal pairs only, against the pruned family enumeration."""
+
+    def _assert_agree(self, g):
+        pred = w2_equivalence_predicates(GraphContext(g))["w2_membership"]
+        assert pred == is_in_w_generic(g, 2), write_graph6(g)
+
+    def test_agrees_to_order_eight(self):
+        # every graph of order <= 8 without isolated vertices
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                if all(g.adj):
+                    self._assert_agree(g)
+
+    def test_agrees_on_larger_graphs(self):
+        members = [corona_uniform(path(3), complete(2)), corona_uniform(cycle(4), complete(2))]
+        for g in members + list(relabelled_random_graphs(20261020, 100, 9, 12)):
+            self._assert_agree(g)
 
 
 class TestHallAndSupersetChecks:
@@ -673,11 +703,7 @@ class TestLocallyTriangleFreeRefinement:
         # the join of two copies of 2K2: locally triangle-free, level-2,
         # independence number 2, yet its complement is two 4-cycles rather
         # than one cycle -- the reason the registered check accepts unions
-        from wellcover.classify import (
-            is_in_w,
-            is_in_w_generic,
-            is_locally_triangle_free,
-        )
+        from wellcover.classify import is_in_w, is_locally_triangle_free
         from wellcover.constructions import join
         from wellcover.graph import complement, components, cycle
         from wellcover.independence import independence_number

@@ -1,6 +1,7 @@
 """The package's surface: its top-level exports are the README's Library
-block, the library imports nothing beyond the standard library, and every
-definition in it is read by the program."""
+block, the library imports nothing beyond the standard library, every
+definition in it is read by the program, and every test oracle is read by a
+test."""
 
 import ast
 import re
@@ -61,15 +62,11 @@ def test_readme_report_keys_are_the_report_fields():
     assert documented == list(class_report(cycle(5)).to_json_dict())
 
 
-def test_every_definition_is_read():
-    # each non-dunder top-level def or class of the package, and each
-    # non-dunder method of a top-level class, that is undecorated or
-    # decorated only with property or cached_property, is read by name (a
-    # loaded name or attribute, or a from-import) in src/ or perfbench/
-    # outside its own body: a definition only tests read is dead, and so is a
-    # cached table whose last reader is gone
+def _reads(paths) -> dict[str, list[tuple[Path, int]]]:
+    """Where each name is read (a loaded name or attribute, or a
+    from-import) in the given files, as (path, line) pairs."""
     reads: dict[str, list[tuple[Path, int]]] = {}
-    for path in sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names = [node.id]
@@ -81,6 +78,23 @@ def test_every_definition_is_read():
                 continue
             for name in names:
                 reads.setdefault(name, []).append((path, node.lineno))
+    return reads
+
+
+def _read_outside(node, path: Path, reads) -> bool:
+    return any(
+        where != path or not node.lineno <= line <= node.end_lineno
+        for where, line in reads.get(node.name, ())
+    )
+
+
+def test_every_definition_is_read():
+    # each non-dunder top-level def or class of the package, and each
+    # non-dunder method of a top-level class, that is undecorated or
+    # decorated only with property or cached_property, is read by name in
+    # src/ or perfbench/ outside its own body: a definition only tests read
+    # is dead, and so is a cached table whose last reader is gone
+    reads = _reads(sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]))
     unread = []
     for path in sorted(SRC.glob("*.py")):
         top = ast.parse(path.read_text()).body
@@ -95,9 +109,20 @@ def test_every_definition_is_read():
                 or node.name.startswith("__")
             ):
                 continue
-            if not any(
-                where != path or not node.lineno <= line <= node.end_lineno
-                for where, line in reads.get(node.name, ())
-            ):
+            if not _read_outside(node, path, reads):
                 unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unread, unread
+
+
+def test_every_oracle_is_read():
+    # each top-level def of tests/oracles.py is read by name in tests/
+    # outside its own body: an oracle no test reaches checks nothing
+    tests = ROOT / "tests"
+    reads = _reads(sorted(tests.glob("*.py")))
+    oracles = tests / "oracles.py"
+    unread = [
+        f"oracles.py:{node.lineno} {node.name}"
+        for node in ast.parse(oracles.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not _read_outside(node, oracles, reads)
+    ]
     assert not unread, unread
