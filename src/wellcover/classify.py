@@ -20,12 +20,14 @@ The recursion runs on vertex masks of one adjacency and is memoized on
 definition itself only at level 2, in ``thm.w2-equivalence``, and the tests
 check the recursion against enumerations of disjoint families.
 
-``GraphContext`` holds the per-graph invariants (alpha, the maximum
-independent sets, the level memo, the shedding and simplicial vertices, the
-simplexes and their partition, the girth, and the report's other fields),
-each computed on first use and then cached; its level memo also answers alpha
-and well-coveredness of every vertex submask, and disjoint maximum
-independent sets are packed from its cached list of them.  ``class_report``,
+``GraphContext`` holds the per-graph invariants (alpha, the independent sets
+with their open neighborhoods, the maximum independent sets, the level memo,
+the shedding and simplicial vertices, the simplexes and their partition, the
+girth, and the report's other fields), each computed on first use and then
+cached; its level memo also answers alpha and well-coveredness of every
+vertex submask, disjoint maximum independent sets are packed from its cached
+list of them, and every scan over Ind(G), from W_k monotonicity to the
+theorem checks, reads N(S) from its table of independent sets.  ``class_report``,
 ``w_level``, the simplex predicates and the theorem and hunt drivers accept
 a context in place of a graph, so one graph's invariants are computed once
 however many of them read it.
@@ -301,13 +303,12 @@ def check_wk_monotonicity(g: Graph | GraphContext, k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ctx = _context(g)
-    adj = ctx.adj
-    for b_set in ctx.ind:
-        rhs = _nbhd(adj, b_set).bit_count() - (k - 1) * b_set.bit_count()
+    ind = _context(g).ind
+    for b_set, nb in ind.items():
+        rhs = nb.bit_count() - (k - 1) * b_set.bit_count()
         for v in iter_bits(b_set):
             a_set = b_set ^ (1 << v)
-            if _nbhd(adj, a_set).bit_count() - (k - 1) * a_set.bit_count() > rhs:
+            if ind[a_set].bit_count() - (k - 1) * a_set.bit_count() > rhs:
                 return False, (a_set, b_set)
     return True, None
 
@@ -324,6 +325,10 @@ class GraphContext:
     readers sharing a context share its work and keep their own semantics.
     Omega is held once: every question about k pairwise disjoint maximum
     independent sets is one ``_omega_packing`` call over it or a subset.
+    ``ind`` maps each independent set S, ascending, to N(S), so no reader
+    computes a neighborhood of an independent set; ``class_report`` never
+    builds it, since regularizability keeps a walk of its own that stops
+    at the first failing set.
     """
 
     def __init__(self, g: Graph):
@@ -332,7 +337,6 @@ class GraphContext:
         self.full = g.full_mask
         # shared by every _in_w_mask call on this graph's vertex masks
         self.w_memo: dict = {}
-        self._wk_monotonicity: dict[int, tuple] = {}
 
     def in_w(self, k: int, mask: int | None = None) -> bool:
         """Level-k membership of the graph, or of its subgraph on ``mask``."""
@@ -342,12 +346,6 @@ class GraphContext:
         """Independence number of the subgraph on ``mask``, kept in the same
         memo where ``in_w`` records it."""
         return _memo_alpha(self.adj, mask, self.w_memo)
-
-    def wk_monotonicity(self, k: int):
-        """``check_wk_monotonicity(g, k)``, once per k."""
-        if k not in self._wk_monotonicity:
-            self._wk_monotonicity[k] = check_wk_monotonicity(self, k)
-        return self._wk_monotonicity[k]
 
     @property
     def alpha(self) -> int:
@@ -368,7 +366,8 @@ class GraphContext:
         return self.w_levels[1]
 
     @cached_property
-    def ind(self) -> list[int]:
+    def ind(self) -> dict[int, int]:
+        # each independent set S, ascending, mapped to N(S)
         return _independent_sets(self.adj, self.full)
 
     @cached_property

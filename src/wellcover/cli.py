@@ -11,6 +11,7 @@ theorem failure (verify).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -121,14 +122,10 @@ def _file_lines(fh):
 
 
 def _out_stream(args):
+    """The output for one ``with``: the ``-o`` file, or stdout left open."""
     if args.output and args.output != "-":
         return open(args.output, "w")
-    return sys.stdout
-
-
-def _close(stream):
-    if stream is not sys.stdout:
-        stream.close()
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _jobs(args) -> int:
@@ -147,14 +144,11 @@ def _print_report_table(rep: dict, out):
 def cmd_analyze(args) -> int:
     g = parse_graph_spec(args.graph)
     rep = class_report(g, k_max=args.kmax).to_json_dict()
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.format == "json":
             print(json.dumps(rep), file=out)
         else:
             _print_report_table(rep, out)
-    finally:
-        _close(out)
     return EXIT_OK
 
 
@@ -209,16 +203,13 @@ def cmd_construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown operator {args.operator!r}")
 
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.format == "json":
             doc = {"schema_version": SCHEMA_VERSION, "graph": write_graph6(g)}
             doc.update(operands)
             print(json.dumps(doc), file=out)
         else:
             print(write_graph6(g), file=out)
-    finally:
-        _close(out)
     return EXIT_OK
 
 
@@ -232,8 +223,7 @@ def _survey_like(args, verify: bool) -> int:
         strict=args.strict,
         jobs=_jobs(args),
     )
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.format == "table":
             header = f"{'graph':<16} {'n':>3} {'alpha':>5} {'mu':>3} {'wc':>3} {'vwc':>4} {'1wc':>4} {'w':>2} {'shed':>5}"
             print(header, file=out)
@@ -274,8 +264,6 @@ def _survey_like(args, verify: bool) -> int:
                     print(f"  {v['theorem']} on {v['graph']}: {v['witness']}", file=out)
             else:
                 print("theorem failures: 0", file=out)
-    finally:
-        _close(out)
 
     for line, message in report.parse_errors:
         print(f"line {line}: {message}", file=sys.stderr)
@@ -305,8 +293,7 @@ def cmd_hunt(args) -> int:
     if args.input or args.source:
         source = iter_source_lines(args.source, args.input)
     report = hunt(target, source=source, connected_only=args.connected)
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.format == "json":
             print(json.dumps(report.to_json_dict()), file=out)
         else:
@@ -317,8 +304,6 @@ def cmd_hunt(args) -> int:
             for c in report.counterexamples:
                 print(f"  counterexample: {c}", file=out)
             print(f"summary {report.summary}", file=out)
-    finally:
-        _close(out)
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from .classify import (
     SCHEMA_VERSION,
     GraphContext,
     _context,
+    check_wk_monotonicity,
     class_report,
     is_simplicial_graph,
 )
@@ -42,7 +43,7 @@ from .graph import (
 )
 from .hunting import HuntTarget, hunt  # noqa: F401  (re-exported)
 from .hunting import _concatenation_sweep, _read_graphs
-from .independence import _iter_maximal_independent, _nbhd, _omega_packing, can_match_into
+from .independence import _iter_maximal_independent, _omega_packing, can_match_into
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def _agree(**named):
 
 def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     """The seven equivalent characterizations, each evaluated independently."""
-    g, adj, full = ctx.g, ctx.adj, ctx.full
+    g, full = ctx.g, ctx.full
     alpha, omega, ind = ctx.alpha, ctx.omega, ctx.ind
     non_max = [a for a in ind if a.bit_count() < alpha]
     supersets: dict[int, list[int]] = {}
@@ -123,17 +124,19 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
             supersets[a] = [s for s in omega if not a & ~s]
         return supersets[a]
 
-    def pairs_extend(i: int, a: int) -> bool:
+    items = list(ind.items())
+
+    def pairs_extend(i: int, a: int, na: int) -> bool:
         # the family-maximal pairs (a, b), b after a in ind, have disjoint
         # maximum supersets: b holds forced, the outside vertices with no
         # neighbour in a, and each vertex outside a | b has a neighbour in b
-        forced = full & ~(a | _nbhd(adj, a))
-        if _nbhd(adj, forced) & forced:  # no independent b holds forced
+        forced = full & ~(a | na)
+        if forced not in ind:  # no independent b holds forced
             return True
         return all(
             any(not s & t for s in sups(a) for t in sups(b))
-            for b in ind[i + 1:]
-            if not (forced & ~b or a & b or full & ~(a | b | _nbhd(adj, b)))
+            for b, nb in items[i + 1:]
+            if not (forced & ~b or a & b or full & ~(a | b | nb))
         )
 
     p1 = not ctx.is_p3() and all(ctx.in_w(1, full ^ (1 << v)) for v in range(g.n))
@@ -141,7 +144,7 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     # the definition, on the family-maximal pairs alone: shrinking a member
     # keeps a pair extendable, and every pair grows to one of them; (∅, ∅) is
     # one only on the empty graph, where it extends
-    p3 = all(pairs_extend(i, a) for i, a in enumerate(ind))
+    p3 = all(pairs_extend(i, a, na) for i, (a, na) in enumerate(items))
     # two maximum supersets of a that meet only in a
     p4 = all(len(_omega_packing([s ^ a for s in sups(a)], 2)) == 2 for a in non_max)
     p5 = all(len(sups(a)) >= 2 for a in non_max)
@@ -276,10 +279,10 @@ def _chk_w2_equivalence(ctx):
 def _chk_w2_minus_ns(ctx):
     """Removing the closed neighborhood of a non-maximum independent set keeps
     level-2 membership.  Hypotheses: nonempty, in level 2."""
-    for s in ctx.ind:
+    for s, ns in ctx.ind.items():
         if s.bit_count() >= ctx.alpha:
             continue
-        mask = ctx.full & ~(s | _nbhd(ctx.adj, s))
+        mask = ctx.full & ~(s | ns)
         if not ctx.in_w(2, mask):
             return False, _wit(independent_set=s)
     return True, None
@@ -338,28 +341,22 @@ def _chk_w2_properties(ctx):
         if ctx.alpha_of(full & ~s) != alpha:
             return False, _wit(item="alpha_stable_minus_independent_set", independent_set=s)
     # (vi) differential monotone over independent sets
-    mono, wit = ctx.wk_monotonicity(2)
+    mono, wit = check_wk_monotonicity(ctx, 2)
     if not mono:
         return False, _wit(item="differential_monotone", subset_set=wit[0], superset_set=wit[1])
     # (vii) regularizable with strict expansion
-    for s in ctx.ind:
-        if s and _nbhd(adj, s).bit_count() <= s.bit_count():
+    for s, ns in ctx.ind.items():
+        if s and ns.bit_count() <= s.bit_count():
             return False, _wit(item="strict_neighborhood_expansion", independent_set=s)
     if not ctx.regularizability[1]:
         return False, _wit(item="regularizable")
     # (viii) independent sets never beat their neighborhood's independence
-    for s in ctx.ind:
-        if s.bit_count() > ctx.alpha_of(_nbhd(adj, s)):
+    for s, ns in ctx.ind.items():
+        if s.bit_count() > ctx.alpha_of(ns):
             return False, _wit(item="bounded_by_neighborhood_alpha", independent_set=s)
     # (ix) every independent set is matched into an independent set
-    for s in ctx.ind:
-        if s == 0:
-            continue
-        target_pool = _nbhd(adj, s)
-        if not any(
-            can_match_into(g, s, b)
-            for b in _iter_maximal_independent(adj, target_pool)
-        ):
+    for s, ns in ctx.ind.items():
+        if s and not any(can_match_into(g, s, b) for b in _iter_maximal_independent(adj, ns)):
             return False, _wit(item="matched_into_independent_set", independent_set=s)
     return True, None
 
@@ -368,8 +365,8 @@ def _chk_w2_properties(ctx):
 def _chk_w2_degree_bound(ctx):
     """Degrees inside an independent set are bounded by its neighborhood
     slack.  Hypotheses: connected, in level 2."""
-    for s in ctx.ind:
-        slack = _nbhd(ctx.adj, s).bit_count() - s.bit_count() + 1
+    for s, ns in ctx.ind.items():
+        slack = ns.bit_count() - s.bit_count() + 1
         for v in iter_bits(s):
             if ctx.adj[v].bit_count() > slack:
                 return False, _wit(independent_set=s, vertex=v)
@@ -403,15 +400,11 @@ def _chk_shedding_epsilon(ctx):
     Ind(G), supersets first, gives eps and I of every A from its one-vertex
     extensions, and the vertices some deletion lowers are the union of
     I(A) - A."""
-    adj, full = ctx.adj, ctx.full
-    closed = {0: 0}  # A -> N[A], each from A minus its lowest vertex
-    for a in ctx.ind[1:]:
-        b = a & -a
-        closed[a] = closed[a ^ b] | adj[b.bit_length() - 1] | b
+    full = ctx.full
     best = {}  # A -> (eps(A), I(A))
     lost = 0
-    for a in reversed(ctx.ind):
-        ext = full & ~closed[a]
+    for a, na in reversed(ctx.ind.items()):
+        ext = full & ~(a | na)
         if not ext:
             best[a] = a.bit_count(), a
             continue
@@ -455,10 +448,10 @@ def _chk_shedding_four_way(ctx):
         if nv == 0:
             continue
         inside = nv | (1 << v)
-        outside_sets = [s for s in ctx.ind if not s & inside]
+        outside_sets = [(s, ns) for s, ns in ctx.ind.items() if not s & inside]
         cond1 = ctx.in_w(1, full ^ (1 << v))
-        cond2 = all(nv & ~_nbhd(adj, s) for s in outside_sets)
-        cond3 = not any(nv & ~(s | _nbhd(adj, s)) == 0 for s in outside_sets)
+        cond2 = all(nv & ~ns for _, ns in outside_sets)
+        cond3 = not any(nv & ~(s | ns) == 0 for s, ns in outside_sets)
         cond4 = bool(ctx.shed >> v & 1)
         if not cond1 == cond2 == cond3 == cond4:
             return False, _wit(
@@ -519,8 +512,8 @@ def _chk_w2_five_way(ctx):
     isolated vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     c4 = True
-    for s in ctx.ind:
-        rem = full & ~(s | _nbhd(adj, s))
+    for s, ns in ctx.ind.items():
+        rem = full & ~(s | ns)
         for w in iter_bits(rem):
             if adj[w] & rem == 0:
                 c4 = False
@@ -529,7 +522,7 @@ def _chk_w2_five_way(ctx):
             break
     return _agree(
         w2=ctx.w2,
-        differential_monotone=ctx.wk_monotonicity(2)[0],
+        differential_monotone=check_wk_monotonicity(ctx, 2)[0],
         all_vertices_shedding=ctx.shed == full,
         no_isolation_after_removal=c4,
         closed_neighborhood_deletions_w2=all(
@@ -604,7 +597,7 @@ def _chk_wk_monotonicity(ctx):
     monotone.  Hypotheses: nonempty (levels 1..3 probed)."""
     for k, member in enumerate(ctx.w_levels[:3], start=1):
         if member:
-            ok, wit = ctx.wk_monotonicity(k)
+            ok, wit = check_wk_monotonicity(ctx, k)
             if not ok:
                 return False, _wit(k=k, subset_set=wit[0], superset_set=wit[1])
     return True, None
@@ -629,8 +622,7 @@ def _chk_berge(ctx):
     By Hall's condition, every disjoint independent set matches into S iff
     every disjoint independent B has |N(B) & S| >= |B|: the subsets of an
     independent set are independent."""
-    adj = ctx.adj
-    hall = [(b, _nbhd(adj, b), b.bit_count()) for b in ctx.ind if b]
+    hall = [(b, nb, b.bit_count()) for b, nb in ctx.ind.items() if b]
     omega_set = set(ctx.omega)
     for s in ctx.ind:
         matched = True
@@ -926,9 +918,10 @@ class SurveyReport:
             "well_covered": rep["well_covered"],
             "very_well_covered": rep["very_well_covered"],
             "one_well_covered": rep["one_well_covered"],
-            "w2": rep["w_level"] >= 2,
-            "w3": rep["w_level"] >= 3,
         }
+        # only the levels the report probed: w_level stops at its k_max
+        for k in range(2, rep["k_max"] + 1):
+            counted[f"w{k}"] = rep["w_level"] >= k
         agg = self.aggregates.setdefault(rep["n"], dict.fromkeys(counted, 0))
         for key, flag in counted.items():
             agg[key] += int(flag)

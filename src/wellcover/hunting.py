@@ -86,15 +86,15 @@ class HuntTarget:
 
         if target_id not in HUNT_TARGET_IDS:
             raise ValueError(f"unknown hunt target {target_id!r}")
-        if max_n < 1:
+        # only the concatenation conjecture reads k and base_max_n
+        conjecture = target_id == "conjecture.wk-concat"
+        bounds = (max_n, base_max_n) if conjecture else (max_n,)
+        if min(bounds) < 1:
             raise ValueError("bounds must be positive")
-        if max_n > cat.HUNT_MAX_N:
+        if max(bounds) > cat.HUNT_MAX_N:
             raise ValueError(f"hunts are capped at n <= {cat.HUNT_MAX_N}")
-        if target_id == "conjecture.wk-concat":
-            if base_max_n < 1:
-                raise ValueError("bounds must be positive")
-            if k < 2:
-                raise ValueError("the concatenation conjecture needs k >= 2")
+        if conjecture and k < 2:
+            raise ValueError("the concatenation conjecture needs k >= 2")
         self.target_id = target_id
         self.max_n = max_n
         self.k = k

@@ -154,21 +154,19 @@ def _alpha_component(adj, mask: int) -> int:
     return take if take >= skip else skip
 
 
-def _independent_sets(adj, mask: int) -> list[int]:
-    """All independent subsets of ``mask``, ascending as bitmasks."""
-    out = []
+def _independent_sets(adj, mask: int) -> dict[int, int]:
+    """Each independent subset S of ``mask``, ascending as bitmasks, mapped
+    to its open neighborhood N(S) in the whole adjacency.
 
-    def rec(cur: int, avail: int):
-        out.append(cur)
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            rec(cur | b, m & ~adj[b.bit_length() - 1])
-
-    rec(0, mask)
-    out.sort()
-    return out
+    Vertices join in ascending order, each added to every set so far that
+    misses its neighborhood; v tops each new set and lies above every vertex
+    of the earlier ones, so the keys come out ascending with no sort.
+    """
+    ind = {0: 0}
+    for v in iter_bits(mask):
+        b, row = 1 << v, adj[v]
+        ind.update([(s | b, ns | row) for s, ns in ind.items() if not s & row])
+    return ind
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def is_in_w_generic(g, k: int, nonempty: bool = False) -> bool:
     adj, full = ctx.adj, ctx.full
     if ctx.g.n == 0:
         return True
-    ind, omega = ctx.ind, ctx.omega
+    ind, omega = list(ctx.ind), ctx.omega
     # independent set -> bitmask of the indices of the members of omega
     # containing it
     contains = {

@@ -137,6 +137,24 @@ class TestSurvey:
         lines = [json.loads(line)["line"] for line in out.strip().splitlines()[:-1]]
         assert code == 0 and lines == list(range(1, len(lines) + 1)) and lines
 
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    def test_aggregates_count_only_the_probed_levels(self, capsys, kmax):
+        # K3 is in levels 1-3, C4 in level 1, C5 in levels 1-2; a level
+        # above --kmax was not probed, so it has no key
+        code, out, _ = run_cli(
+            capsys, "survey", "cycles:3..5", "--kmax", str(kmax), "--format", "json"
+        )
+        aggregates = json.loads(out.splitlines()[-1])["aggregates"]
+        levels = {
+            n: {key: count for key, count in agg.items() if re.fullmatch(r"w\d+", key)}
+            for n, agg in aggregates.items()
+        }
+        top = {"3": 3, "4": 1, "5": 2}
+        assert code == 0
+        assert levels == {
+            n: {f"w{k}": int(k <= top[n]) for k in range(2, kmax + 1)} for n in top
+        }
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -399,6 +417,17 @@ class TestHunt:
             capsys, "hunt", "conjecture.wk-concat", "--max-n", "5", "--base-max-n", "0"
         )
         assert (code, out, err) == (2, "", "error: bounds must be positive\n")
+
+    def test_base_max_n_above_the_cap_exits_2(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"the catalog was asked for level {n}")
+
+        monkeypatch.setattr(cat, "_level_adj", refuse)
+        code, out, err = run_cli(
+            capsys, "hunt", "conjecture.wk-concat", "--base-max-n", str(cat.HUNT_MAX_N + 1)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: hunts are capped at n <= {cat.HUNT_MAX_N}\n"
 
     def test_unread_flag_exits_2(self):
         # hunt runs serially, so --jobs is not one of its flags

@@ -601,6 +601,13 @@ class TestHunt:
         with pytest.raises(ValueError):
             HuntTarget("nonsense")
 
+    def test_base_max_n_is_capped(self):
+        # the conjecture's bases are catalog levels too
+        cap = cat.HUNT_MAX_N
+        with pytest.raises(ValueError, match=f"capped at n <= {cap}$"):
+            HuntTarget("conjecture.wk-concat", base_max_n=cap + 1)
+        assert HuntTarget("conjecture.wk-concat", base_max_n=cap).base_max_n == cap
+
     def test_json_shape(self):
         doc = hunt(HuntTarget("problem.no-shedding", max_n=4)).to_json_dict()
         json.dumps(doc)

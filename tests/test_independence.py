@@ -31,6 +31,8 @@ from wellcover.independence import (
 
 from conftest import disjoint_union, graphs
 from oracles import (
+    _independent_subsets,
+    _neighborhood,
     berge_by_matching,
     differential_by_subsets,
     epsilon_by_supersets,
@@ -229,7 +231,8 @@ class TestCanMatchInto:
         for n in range(8):
             for g in catalog_by_n[n]:
                 ctx = GraphContext(g)
-                assert ctx.ind == [s for s in range(1 << n) if is_independent(g, s)]
+                assert list(ctx.ind) == _independent_subsets(g)
+                assert all(ns == _neighborhood(g, s) for s, ns in ctx.ind.items())
                 assert berge_by_matching(ctx) == (True, None), g
 
 
