@@ -20,14 +20,16 @@ The recursion runs on vertex masks of one adjacency and is memoized on
 definition itself only at level 2, in ``thm.w2-equivalence``, and the tests
 check the recursion against enumerations of disjoint families.
 
-``GraphContext`` holds the per-graph invariants (alpha, the independent sets
-with their open neighborhoods, the maximum independent sets, the level memo,
-the shedding and simplicial vertices, the simplexes and their partition, the
-girth, and the report's other fields), each computed on first use and then
-cached; its level memo also answers alpha and well-coveredness of every
-vertex submask, disjoint maximum independent sets are packed from its cached
-list of them, and every scan over Ind(G), from W_k monotonicity to the
-theorem checks, reads N(S) from its table of independent sets.  ``class_report``,
+``GraphContext`` holds the per-graph invariants (the graph6 id, the maximal
+independent sets, alpha, the independent sets with their open neighborhoods,
+the maximum independent sets, the level memo, the shedding and simplicial
+vertices, the simplexes and their partition, the girth, and the report's
+other fields), each computed on first use and then cached.  One enumeration
+of the maximal independent sets gives alpha, the maximum sets and the
+shedding vertices; the level memo answers alpha and well-coveredness of
+every vertex submask; disjoint maximum independent sets are packed from the
+cached list of them; and every scan over Ind(G), from W_k monotonicity to
+the theorem checks, reads N(S) from its table of independent sets.  ``class_report``,
 ``w_level``, the simplex predicates and the theorem and hunt drivers accept
 a context in place of a graph, so one graph's invariants are computed once
 however many of them read it.
@@ -54,7 +56,6 @@ from .independence import (
     _omega_packing,
     _wc_scan,
     differential_of_graph,
-    maximum_independent_sets,
     maximum_matching_size,
 )
 
@@ -193,12 +194,37 @@ def is_shedding(g: Graph, v: int) -> bool:
     return True
 
 
-def shedding_vertices(g: Graph) -> int:
-    mask = 0
-    for v in range(g.n):
-        if is_shedding(g, v):
-            mask |= 1 << v
-    return mask
+def shedding_vertices(g: Graph | GraphContext) -> int:
+    """The shedding vertices as a mask, read from the graph's maximal
+    independent sets (``GraphContext.shed``)."""
+    return _context(g).shed
+
+
+def _unshed(adj, maximal) -> int:
+    """The vertices v of some M in ``maximal`` with M - v dominating N(v):
+    the vertices that are not shedding, when ``maximal`` lists every maximal
+    independent set of the graph.
+
+    An independent S of G - N[v] that no neighbor of v extends dominates
+    N(v), and S + v grows to such an M; conversely M - v is such an S.  An
+    isolated vertex lies in every M and has nothing to dominate.  Within one
+    M, v qualifies iff no neighbor of v has v as its only neighbor in M.
+    """
+    marked = 0
+    for m in maximal:
+        fresh = m & ~marked
+        if not fresh:
+            continue
+        once = twice = 0
+        for v in iter_bits(m):
+            row = adj[v]
+            twice |= once & row
+            once |= row
+        once &= ~twice
+        for v in iter_bits(fresh):
+            if not adj[v] & once:
+                marked |= 1 << v
+    return marked
 
 
 def simplicial_vertices(g: Graph) -> int:
@@ -323,7 +349,10 @@ class GraphContext:
 
     A field is the value of this package's routine for that invariant, so
     readers sharing a context share its work and keep their own semantics.
-    Omega is held once: every question about k pairwise disjoint maximum
+    The maximal independent sets are enumerated once (``maximal``): alpha is
+    the largest size among them, seeded into the level memo, Omega is the
+    sets of that size, and ``shed`` is read from them by ``_unshed``.  Omega
+    is held once: every question about k pairwise disjoint maximum
     independent sets is one ``_omega_packing`` call over it or a subset.
     ``ind`` maps each independent set S, ascending, to N(S), so no reader
     computes a neighborhood of an independent set; ``class_report`` never
@@ -349,7 +378,11 @@ class GraphContext:
 
     @property
     def alpha(self) -> int:
-        return self.alpha_of(self.full)
+        # the largest maximal set, unless the memo already holds alpha(G)
+        alpha = self.w_memo.get(self.full)
+        if alpha is None:
+            alpha = self.w_memo[self.full] = max(map(int.bit_count, self.maximal))
+        return alpha
 
     @property
     def well_covered(self) -> bool:
@@ -371,8 +404,19 @@ class GraphContext:
         return _independent_sets(self.adj, self.full)
 
     @cached_property
+    def graph6(self) -> str:
+        return write_graph6(self.g)
+
+    @cached_property
+    def maximal(self) -> list[int]:
+        # G's maximal independent sets, in enumeration order: alpha, omega
+        # and shed all read this one list
+        return list(_iter_maximal_independent(self.adj, self.full))
+
+    @cached_property
     def omega(self) -> list[int]:
-        return maximum_independent_sets(self.g)
+        alpha = self.alpha
+        return sorted(s for s in self.maximal if s.bit_count() == alpha)
 
     def disjoint_mis_max(self, k: int) -> int:
         """The most pairwise disjoint members of omega, counted up to k; k on
@@ -383,7 +427,7 @@ class GraphContext:
 
     @cached_property
     def shed(self) -> int:
-        return shedding_vertices(self.g)
+        return self.full & ~_unshed(self.adj, self.maximal)
 
     @cached_property
     def simp(self) -> int:
@@ -555,7 +599,7 @@ def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
     ctx = _context(g)
     wl = w_level(ctx, k_max)
     return ClassReport(
-        graph_id=write_graph6(ctx.g),
+        graph_id=ctx.graph6,
         n=ctx.g.n,
         alpha=ctx.alpha,
         mu=ctx.mu,

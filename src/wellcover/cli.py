@@ -214,7 +214,7 @@ def cmd_construct(args) -> int:
 
 
 def _survey_like(args, verify: bool) -> int:
-    from .harness import GRID_THEOREM_IDS, run_grid, survey_catalog
+    from .harness import GRID_THEOREM_IDS, record_json, run_grid, survey_catalog
 
     report = survey_catalog(
         iter_source_lines(args.source, args.input),
@@ -231,7 +231,7 @@ def _survey_like(args, verify: bool) -> int:
         # line raises Graph6Error (exit 3) after the records before it
         for record in report:
             if args.format == "json":
-                print(json.dumps(record), file=out)
+                print(record_json(record), file=out)
                 continue
             rep = record["report"]
             print(
@@ -250,10 +250,8 @@ def _survey_like(args, verify: bool) -> int:
 
         if args.format == "json":
             for v in grid_verdicts:
-                print(json.dumps(v.to_json_dict()), file=out)
-            summary = report.to_json_dict()
-            summary["grid_failures"] = [v.to_json_dict() for v in grid_failures]
-            print(json.dumps(summary), file=out)
+                print(v.to_json(), file=out)
+            print(report.summary_json(grid_failures), file=out)
         else:
             print("", file=out)
             for n, agg in report.aggregates.items():

@@ -8,6 +8,11 @@ construction-grid theorem is one row of ``GRID_THEOREMS``.  A verdict of
 (applicable and not holds) for a registered theorem signals an implementation
 bug, never new mathematics; the conjecture is a hunt target only and is never
 assumed.
+
+Verdicts have one JSON encoder, ``verdict_json``, which writes the bytes
+``json.dumps`` would from a template per theorem; survey records
+(``record_json``), grid verdicts and the survey summary's failures all go
+through it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Iterator
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, product
+from json import dumps
+from json.encoder import encode_basestring_ascii
 
 from .classify import (
     SCHEMA_VERSION,
@@ -74,7 +81,7 @@ class TheoremVerdict:
         self.applicable = applicable
         self.holds = holds
         self.witness = witness
-        self.elapsed = elapsed
+        self.elapsed = float(elapsed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,6 +93,36 @@ class TheoremVerdict:
             "witness": self.witness,
             "elapsed": self.elapsed,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict())``, written from a template."""
+        return verdict_json(self.to_json_dict())
+
+
+# at most three templates per theorem id
+@cache
+def _verdict_template(theorem_id: str, applicable: bool, holds: bool) -> str:
+    # a verdict's JSON text with %s for its graph id, witness and elapsed
+    return (
+        '{"schema_version": %d, "theorem": %s, "graph": %%s, "applicable": %s,'
+        ' "holds": %s, "witness": %%s, "elapsed": %%s}'
+        % (SCHEMA_VERSION, dumps(theorem_id).replace("%", "%%"), dumps(applicable),
+           dumps(holds))
+    )
+
+
+def verdict_json(verdict: dict) -> str:
+    """The one encoder of verdicts: the bytes ``json.dumps`` writes for a
+    verdict's dict (``TheoremVerdict.to_json_dict``), from the template of its
+    theorem, applicability and outcome.  The graph id and the witness go
+    through json's own encoder, and elapsed, always a float, through
+    ``float.__repr__`` as json does."""
+    witness = verdict["witness"]
+    return _verdict_template(verdict["theorem"], verdict["applicable"], verdict["holds"]) % (
+        encode_basestring_ascii(verdict["graph"]),
+        "null" if witness is None else dumps(witness),
+        float.__repr__(verdict["elapsed"]),
+    )
 
 
 def _wit(**kv):
@@ -440,26 +477,29 @@ def _chk_shedding_wc(ctx):
 
 @_theorem("cor.shedding-four-way", _wc_gate)
 def _chk_shedding_four_way(ctx):
-    """The four shedding characterizations agree for non-isolated vertices of
-    well-covered graphs.  Hypotheses: nonempty, well-covered."""
+    """The shedding characterizations agree for non-isolated vertices of
+    well-covered graphs: G - v is well-covered, N(S) covers N(v) for no
+    independent set S of G - N[v], and v is shedding.  Hypotheses: nonempty,
+    well-covered.
+
+    The fourth characterization, that v is isolated in G - N[S] for no such
+    S, is the second one restated: S misses N[v], so v is isolated there
+    exactly when N(v) is inside N(S).  It is not computed a second time."""
     adj, full = ctx.adj, ctx.full
     for v in range(ctx.g.n):
         nv = adj[v]
         if nv == 0:
             continue
         inside = nv | (1 << v)
-        outside_sets = [(s, ns) for s, ns in ctx.ind.items() if not s & inside]
         cond1 = ctx.in_w(1, full ^ (1 << v))
-        cond2 = all(nv & ~ns for _, ns in outside_sets)
-        cond3 = not any(nv & ~(s | ns) == 0 for s, ns in outside_sets)
-        cond4 = bool(ctx.shed >> v & 1)
-        if not cond1 == cond2 == cond3 == cond4:
+        cond2 = all(nv & ~ns for s, ns in ctx.ind.items() if not s & inside)
+        cond3 = bool(ctx.shed >> v & 1)
+        if not cond1 == cond2 == cond3:
             return False, _wit(
                 vertex=v,
                 deletion_well_covered=cond1,
                 neighborhood_never_covered=cond2,
-                never_isolated=cond3,
-                shedding=cond4,
+                shedding=cond3,
             )
     return True, None
 
@@ -828,7 +868,7 @@ def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]
     if theorem_ids is None:
         theorem_ids = GRAPH_THEOREMS
     ctx = _context(g)
-    graph_id = write_graph6(ctx.g)
+    graph_id = ctx.graph6
     out = []
     for tid in theorem_ids:
         if tid not in GRAPH_THEOREMS:
@@ -910,6 +950,22 @@ class SurveyReport:
             "elapsed": self.elapsed,
         }
 
+    def summary_json(self, grid_failures=()) -> str:
+        """The summary line: ``json.dumps`` of ``to_json_dict()`` with a
+        ``grid_failures`` list of grid verdicts added, each failure written
+        by the verdict encoder."""
+        doc = self.to_json_dict()
+        return (
+            '{"schema_version": %d, "aggregates": %s, "failures": [%s], "parse_errors": %s,'
+            ' "graphs": %d, "elapsed": %s, "grid_failures": [%s]}'
+            % (
+                doc["schema_version"], dumps(doc["aggregates"]),
+                ", ".join(map(verdict_json, self.failures)), dumps(doc["parse_errors"]),
+                self.graphs, float.__repr__(self.elapsed),
+                ", ".join(v.to_json() for v in grid_failures),
+            )
+        )
+
     def _fold(self, record: dict):
         self.graphs += 1
         rep = record["report"]
@@ -928,6 +984,14 @@ class SurveyReport:
         for verdict in record["verdicts"]:
             if verdict["applicable"] and not verdict["holds"]:
                 self.failures.append(verdict)
+
+
+def record_json(record: dict) -> str:
+    """``json.dumps(record)`` of a survey record, its verdicts written by the
+    verdict encoder."""
+    return '{"line": %d, "report": %s, "verdicts": [%s]}' % (
+        record["line"], dumps(record["report"]), ", ".join(map(verdict_json, record["verdicts"]))
+    )
 
 
 def _survey_one(k_max: int, item) -> dict:

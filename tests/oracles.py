@@ -119,6 +119,20 @@ def _independent_subsets(g: Graph) -> list[int]:
     return [s for s in range(1 << g.n) if is_independent(g, s)]
 
 
+def maximum_independent_sets_by_subsets(g: Graph) -> list[int]:
+    """Omega: the independent subsets of the largest size, ascending, found
+    by testing each of the 2^n subsets.  A nonempty subset is independent
+    iff it is once its lowest vertex is dropped and that vertex has no
+    neighbor in it."""
+    independent = [True]
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        independent.append(independent[s ^ low] and not g.adj[low.bit_length() - 1] & s)
+    ind = [s for s, flag in enumerate(independent) if flag]
+    alpha = max(s.bit_count() for s in ind)
+    return [s for s in ind if s.bit_count() == alpha]
+
+
 def epsilon_by_supersets(g: Graph, a: int) -> int:
     """eps(A): the largest size of an independent superset of the
     independent set ``a``, found among all the independent subsets."""

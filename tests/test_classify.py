@@ -44,6 +44,7 @@ from oracles import (
     _is_corona_of,
     is_in_w_generic,
     is_independent,
+    maximum_independent_sets_by_subsets,
     regularizability_by_subsets,
     w_member_by_families,
     wk_monotonicity_by_subsets,
@@ -191,6 +192,55 @@ class TestShedding:
             for g in catalog_by_n[n]:
                 for v in range(g.n):
                     assert is_shedding(g, v) == naive_is_shedding(g, v)
+
+
+class TestOneListOfMaximalSets:
+    """alpha, Omega and the shedding vertices of a context all come from
+    its one list of maximal independent sets; each is checked against a
+    routine that does not read that list."""
+
+    @staticmethod
+    def check(g, omega_oracle=maximum_independent_sets_by_subsets):
+        ctx = GraphContext(g)
+        assert ctx.shed == sum(1 << v for v in range(g.n) if is_shedding(g, v)), g
+        assert ctx.alpha == _alpha(g.adj, g.full_mask), g
+        assert ctx.omega == omega_oracle(g), g
+        # alpha is seeded into the level memo that in_w and alpha_of read
+        assert ctx.alpha_of(ctx.full) == ctx.alpha
+        return ctx
+
+    def test_catalog_to_order_eight(self):
+        checked = 0
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                self.check(g)
+                checked += 1
+        assert checked == 13_599
+
+    def test_random_graphs_of_order_nine_to_fourteen(self):
+        for g in relabelled_random_graphs(24, 40, 9, 14):
+            self.check(g)
+
+    def test_shedding_vertices_reads_the_context(self):
+        for g in relabelled_random_graphs(25, 20, 1, 10):
+            ctx = GraphContext(g)
+            assert shedding_vertices(g) == shedding_vertices(ctx) == ctx.shed
+
+    def test_analyze_shapes(self):
+        evens = sum(1 << v for v in range(0, 22, 2))
+        self.check(cycle(22), lambda g: [evens, evens << 1])
+        self.check(path(21), lambda g: [sum(1 << v for v in range(0, 21, 2))])
+        self.check(complete_bipartite(12, 13), lambda g: [((1 << 13) - 1) << 12])
+        # in G o K2 each triangle block gives one vertex to a maximum set, a
+        # base vertex only where the chosen base vertices are independent
+        base = cycle(5)
+        count = sum(
+            2 ** (base.n - s.bit_count()) for s in range(1 << base.n) if is_independent(base, s)
+        )
+        g = corona_uniform(base, complete(2))
+        ctx = self.check(g, lambda g: GraphContext(g).omega)
+        assert ctx.alpha == base.n and len(ctx.omega) == count
+        assert all(is_independent(g, s) for s in ctx.omega)
 
 
 class TestSimplicial:

@@ -301,8 +301,33 @@ class TestGoldenOutput:
                 ("hunt", "conjecture.wk-concat", "--max-n", "6", "--format", "json"),
                 "a237617e58124f6656b0963e7edc9f75622680024aa5f9582533d23d25afa566",
             ),
+            (
+                ("survey", "catalog:connected:1..7", "--format", "json"),
+                "73bd06776a0d071a1476399f61ca81f8005f23308863f58618ac29b2d909b9eb",
+            ),
+            (
+                ("verify", "catalog:connected:1..6", "--format", "table"),
+                "4c98d8148936837aca81e9841f05b633999d6fb1d707e6cfcca5c498cf07f251",
+            ),
+            (
+                ("analyze", "cycle:22", "--format", "json"),
+                "b26ca0c4a555ea33e7ea76f5d189c3eb410b3f20434c9138e848f63fd8198c17",
+            ),
+            (
+                ("analyze", "biclique:12x13", "--format", "json"),
+                "906732e53df7b2cd00d07a5c51d64b4f6753848d88410bcecd3331aae1c582a0",
+            ),
+            (
+                # C5 o K2, order 15
+                ("analyze", "NheCI@@G@?a?C@A?@?G", "--format", "json"),
+                "09ad99fef126490eb8d6747f59c5bb90d9ea582a3fa3d60bea00db6d369d6ad0",
+            ),
         ],
-        ids=["verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding", "hunt-wk-concat"],
+        ids=[
+            "verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding",
+            "hunt-wk-concat", "survey-json", "verify-table", "analyze-c22",
+            "analyze-k12-13", "analyze-c5-corona-k2",
+        ],
     )
     def test_zeroed_output_digest(self, capsys, monkeypatch, argv, digest):
         # the --jobs 2 run hands its stream to the pool after the first record

@@ -133,6 +133,66 @@ class TestVerdicts:
         json.dumps(doc)
 
 
+class TestVerdictText:
+    """Verdicts, records and the summary are written from templates; each
+    text is byte-equal to ``json.dumps`` of the matching dict."""
+
+    @staticmethod
+    def same(v: TheoremVerdict):
+        text = v.to_json()
+        assert text == json.dumps(v.to_json_dict())
+        assert harness.verdict_json(v.to_json_dict()) == text
+
+    def test_every_verdict_to_order_seven(self, catalog_by_n):
+        for n in range(8):
+            for g in catalog_by_n[n]:
+                for v in run_suite(g):
+                    self.same(v)
+
+    def test_failing_verdicts_with_nested_witnesses(self):
+        witnesses = [
+            {"vertex": 3, "shedding": False},
+            {"sets": [[0, 2], [1, 3]], "nested": {"a": [1, {"b": None}], "c": 2.5}},
+            {"pair": (1, 2), "text": 'quote " and back\\slash', "unicode": "\u2205"},
+            [1, [2, [3]]],
+            "bare string",
+            0,
+        ]
+        for i, witness in enumerate(witnesses):
+            self.same(TheoremVerdict("thm.x-%d" % i, "Bw", True, False, witness, 1e-05 * i))
+        self.same(TheoremVerdict('odd "%s" id', "A_", True, False, {"%d": "%s"}, 3))
+
+    def test_graph_id_with_a_backslash(self):
+        g = parse_graph6("EH\\w")
+        assert g.n == 6 and write_graph6(g) == "EH\\w"
+        verdicts = run_suite(g)
+        assert all(v.graph_id == "EH\\w" for v in verdicts)
+        for v in verdicts:
+            self.same(v)
+        self.same(TheoremVerdict("thm.x", "EH\\w", True, False, {"graph": "EH\\w"}, 0.5))
+
+    def test_records_and_summary(self, monkeypatch):
+        # a deliberately false statement fills the summary's failures
+        monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(harness.GRAPH_THEOREMS))
+
+        @harness._theorem("test.always-false", lambda ctx: True)
+        def _always_false(ctx):
+            return False, {"reason": "synthetic", "sets": [[0], [1, 2]]}
+
+        report = survey_catalog(["EH\\w", "!!", "Bw", "A_"])
+        for record in report:
+            assert harness.record_json(record) == json.dumps(record)
+        assert len(report.failures) == 3
+        grid = [
+            TheoremVerdict("prop.x", "A_", True, False, {"base": "EH\\w"}, 0.25),
+            TheoremVerdict("prop.y", "Bw", True, False, {"p": 2}, 1.0),
+        ]
+        for grid_failures in ([], grid):
+            doc = report.to_json_dict()
+            doc["grid_failures"] = [v.to_json_dict() for v in grid_failures]
+            assert report.summary_json(grid_failures) == json.dumps(doc)
+
+
 class TestRunSuite:
     def test_c5_all_hold(self):
         for verdict in run_suite(cycle(5)):
@@ -384,17 +444,20 @@ class TestSharedContext:
         assert "ind" not in ctx.__dict__
 
     def test_report_enumerates_omega_once(self, monkeypatch):
-        from wellcover import independence
+        # Omega, alpha and the shedding vertices all read the context's one
+        # list of maximal independent sets
+        from wellcover import classify
 
         calls = []
-        enumerate_maximal = independence.maximal_independent_sets
+        enumerate_maximal = classify._iter_maximal_independent
         monkeypatch.setattr(
-            independence,
-            "maximal_independent_sets",
-            lambda g: calls.append(g) or enumerate_maximal(g),
+            classify,
+            "_iter_maximal_independent",
+            lambda adj, mask: calls.append(mask) or enumerate_maximal(adj, mask),
         )
-        assert class_report(cycle(22), 3).disjoint_mis_max == 2
-        assert len(calls) == 1
+        rep = class_report(cycle(22), 3)
+        assert rep.disjoint_mis_max == 2 and rep.alpha == 11 and rep.shed == 0
+        assert calls == [cycle(22).full_mask]
 
     def test_suite_computes_girth_once_per_graph(self, monkeypatch, connected_by_n):
         from wellcover import classify, graph, harness
