@@ -113,7 +113,9 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
 
     ``memo`` maps ``(mask, k)`` to membership and a bare mask to its
     independence number; one memo may serve every level and every submask of
-    one adjacency.
+    one adjacency.  A mask found to be a member at any level has its alpha in
+    the memo.  alpha(mask) itself is computed only once some G - v has passed
+    at level k - 1, so a mask whose first deletion fails costs no alpha.
     """
     key = (mask, k)
     member = memo.get(key)
@@ -124,14 +126,21 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
         if member:
             memo[mask] = size  # every maximal set is maximum
     else:
-        alpha = _memo_alpha(adj, mask, memo)
+        alpha = None
         member = True
         for v in iter_bits(mask):
             sub = mask ^ (1 << v)
-            # a level-(k-1) member has had its alpha memoized on the way
-            if not _in_w_mask(adj, sub, k - 1, memo) or memo[sub] != alpha:
+            if not _in_w_mask(adj, sub, k - 1, memo):
                 member = False
                 break
+            if alpha is None:
+                alpha = _memo_alpha(adj, mask, memo)
+            # sub passed at level k - 1, so its alpha is memoized
+            if memo[sub] != alpha:
+                member = False
+                break
+        if not mask:
+            memo[mask] = 0  # no deletion ran, so nothing memoized alpha
     memo[key] = member
     return member
 

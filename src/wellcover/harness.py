@@ -117,9 +117,14 @@ def verdict_json(verdict: dict) -> str:
     theorem, applicability and outcome.  The graph id and the witness go
     through json's own encoder, and elapsed, always a float, through
     ``float.__repr__`` as json does."""
+    return _verdict_text(verdict, encode_basestring_ascii(verdict["graph"]))
+
+
+def _verdict_text(verdict: dict, graph_text: str) -> str:
+    # verdict_json with the graph id already encoded as ``graph_text``
     witness = verdict["witness"]
     return _verdict_template(verdict["theorem"], verdict["applicable"], verdict["holds"]) % (
-        encode_basestring_ascii(verdict["graph"]),
+        graph_text,
         "null" if witness is None else dumps(witness),
         float.__repr__(verdict["elapsed"]),
     )
@@ -182,8 +187,10 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     # keeps a pair extendable, and every pair grows to one of them; (∅, ∅) is
     # one only on the empty graph, where it extends
     p3 = all(pairs_extend(i, a, na) for i, (a, na) in enumerate(items))
-    # two maximum supersets of a that meet only in a
-    p4 = all(len(_omega_packing([s ^ a for s in sups(a)], 2)) == 2 for a in non_max)
+    # two maximum supersets of a that meet only in a: a is the meet of two
+    # members of omega, which differ since a is not maximum
+    meets = {s & t for i, s in enumerate(omega) for t in omega[i + 1:]}
+    p4 = meets.issuperset(non_max)
     p5 = all(len(sups(a)) >= 2 for a in non_max)
     # some maximum superset of a avoids each b disjoint from a: a superset s
     # with b & s == 0 (map, not any() over a generator per pair: half the cost)
@@ -863,11 +870,11 @@ GRID_THEOREM_IDS = list(GRID_THEOREMS)
 # ---------------------------------------------------------------------------
 
 
-def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]:
-    """Evaluate registered per-graph theorems on one graph (or its context)."""
-    if theorem_ids is None:
-        theorem_ids = GRAPH_THEOREMS
-    ctx = _context(g)
+def _verdicts(ctx: GraphContext, theorem_ids) -> list[dict]:
+    """The verdicts of ``theorem_ids`` on one graph's context, in order, as
+    ``TheoremVerdict.to_json_dict`` writes them: the one evaluation loop,
+    read by ``run_suite`` and, with no ``TheoremVerdict`` built, by the
+    survey records."""
     graph_id = ctx.graph6
     out = []
     for tid in theorem_ids:
@@ -876,20 +883,38 @@ def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]
                 raise ValueError(f"{tid!r} is a construction-grid theorem; use run_grid")
             raise ValueError(f"unknown theorem id {tid!r}")
         gate, check = GRAPH_THEOREMS[tid]
-        t0 = time.perf_counter()
-        if not gate(ctx):
-            out.append(
-                TheoremVerdict(tid, graph_id, False, True, None, time.perf_counter() - t0)
-            )
-            continue
-        holds, witness = check(ctx)
-        out.append(
-            TheoremVerdict(
-                tid, graph_id, True, holds, witness if not holds else None,
-                time.perf_counter() - t0,
-            )
-        )
+        t0 = time.perf_counter_ns()
+        if gate(ctx):
+            applicable = True
+            holds, witness = check(ctx)
+            if holds:
+                witness = None
+        else:
+            applicable, holds, witness = False, True, None
+        out.append({
+            "schema_version": SCHEMA_VERSION,
+            "theorem": tid,
+            "graph": graph_id,
+            "applicable": applicable,
+            "holds": holds,
+            "witness": witness,
+            # whole nanoseconds, whose repr is about half as long to write
+            # as that of a difference of two float clock readings
+            "elapsed": (time.perf_counter_ns() - t0) / 1e9,
+        })
     return out
+
+
+def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]:
+    """Evaluate registered per-graph theorems on one graph (or its context)."""
+    if theorem_ids is None:
+        theorem_ids = GRAPH_THEOREMS
+    return [
+        TheoremVerdict(
+            v["theorem"], v["graph"], v["applicable"], v["holds"], v["witness"], v["elapsed"]
+        )
+        for v in _verdicts(_context(g), theorem_ids)
+    ]
 
 
 def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict]:
@@ -988,9 +1013,13 @@ class SurveyReport:
 
 def record_json(record: dict) -> str:
     """``json.dumps(record)`` of a survey record, its verdicts written by the
-    verdict encoder."""
+    verdict encoder.  Every verdict of a record is of the report's graph, so
+    its id is encoded once."""
+    report = record["report"]
+    graph_text = encode_basestring_ascii(report["graph"])
     return '{"line": %d, "report": %s, "verdicts": [%s]}' % (
-        record["line"], dumps(record["report"]), ", ".join(map(verdict_json, record["verdicts"]))
+        record["line"], dumps(report),
+        ", ".join([_verdict_text(v, graph_text) for v in record["verdicts"]]),
     )
 
 
@@ -1000,7 +1029,7 @@ def _survey_one(k_max: int, item) -> dict:
     return {
         "line": line_number,
         "report": class_report(ctx, k_max).to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in run_suite(ctx)],
+        "verdicts": _verdicts(ctx, GRAPH_THEOREMS),
     }
 
 

@@ -197,7 +197,21 @@ def differential_of_graph(g: Graph) -> int:
     vertices to the touched set, keeping the best value per covered set of
     the live vertices (touched, not retired); a vertex retires once its
     closed neighborhood is decided, its covered bit moving into the value.
+
+    A state takes v only when N[v] adds at least 3 vertices to its covered
+    set.  Some optimal A passes this test at every step: in a smallest
+    optimal A each member a has at least 3 closed neighbors outside
+    N[A - a], since dropping an a with 2 or fewer would not lower
+    |N[A]| - 2|A|.  N[v] holds no retired vertex, whose closed neighborhood
+    is decided, so the count over the live covered set is exact.
+
+    A set of two or more vertices scores at most n - 4, and a single vertex
+    of maximum degree D scores D - 1, so D >= n - 3 settles the maximum with
+    no DP.
     """
+    degree = max(map(int.bit_count, g.adj), default=0)
+    if degree >= g.n - 3:
+        return max(degree - 1, 0)
     closed = [row | (1 << v) for v, row in enumerate(g.adj)]
     states = {0: 0}
     undecided, touched = g.full_mask, 0
@@ -217,6 +231,8 @@ def differential_of_graph(g: Graph) -> int:
             key, value = cov & keep, val + (cov & done).bit_count()
             if nxt.get(key, value - 1) < value:
                 nxt[key] = value
+            if (nv & ~cov).bit_count() < 3:
+                continue  # a dead take-step
             cov |= nv
             key, value = cov & keep, val - 2 + (cov & done).bit_count()
             if nxt.get(key, value - 1) < value:

@@ -2,10 +2,13 @@
 against.  Each is the definition itself, scanned by brute force, and shares
 no code with the routine it checks.
 
-``is_in_w_generic`` is the one that is not brute force: it enumerates the
+``is_in_w_generic`` is one that is not brute force: it enumerates the
 level-k definition's families with pruning, reading Ind(G) and Omega from a
 ``GraphContext``, so that sweeps to order 8 stay fast.  It is itself checked
-against ``w_member_by_families``, which finds every set by subset tests."""
+against ``w_member_by_families``, which finds every set by subset tests.
+``differential_by_frontier_dp`` and ``two_disjoint_completions_by_packing``
+are the library's earlier routines, kept without the cuts that replaced
+them."""
 
 from itertools import permutations, product
 
@@ -21,7 +24,12 @@ from wellcover.graph import (
     vertices_of,
     write_graph6,
 )
-from wellcover.independence import _iter_maximal_independent, _nbhd, can_match_into
+from wellcover.independence import (
+    _iter_maximal_independent,
+    _nbhd,
+    _omega_packing,
+    can_match_into,
+)
 
 
 def brute_force_canonical(g: Graph) -> str:
@@ -88,6 +96,35 @@ def differential_by_subsets(g: Graph) -> int:
         if d > best:
             best = d
     return best
+
+
+def differential_by_frontier_dp(g: Graph) -> int:
+    """Maximum of |N[A]| - 2|A| over every vertex set A, by the frontier DP
+    of ``independence.differential_of_graph`` with every take-step kept:
+    each step decides the vertex whose closed neighborhood adds the fewest
+    vertices to the touched set, and each state both skips and takes it."""
+    closed = [row | (1 << v) for v, row in enumerate(g.adj)]
+    states = {0: 0}
+    undecided, touched = g.full_mask, 0
+    while undecided:
+        v, least = -1, g.n + 1
+        for u in iter_bits(undecided):
+            grow = (closed[u] & ~touched).bit_count()
+            if grow < least:
+                v, least = u, grow
+        nv = closed[v]
+        undecided ^= 1 << v
+        touched |= nv
+        done = sum(1 << u for u in iter_bits(nv) if not closed[u] & undecided)
+        keep = ~done
+        nxt: dict[int, int] = {}
+        for cov, val in states.items():
+            for new_cov, cost in ((cov, 0), (cov | nv, 2)):
+                key, value = new_cov & keep, val - cost + (new_cov & done).bit_count()
+                if nxt.get(key, value - 1) < value:
+                    nxt[key] = value
+        states = nxt
+    return states[0]
 
 
 def roman_domination_number(g: Graph) -> int:
@@ -254,6 +291,18 @@ def shedding_epsilon_by_alpha(ctx) -> tuple:
         if shedding != preserved:
             return False, {"vertex": v, "shedding": shedding}
     return True, None
+
+
+def two_disjoint_completions_by_packing(ctx) -> bool:
+    """p4 of ``thm.w2-equivalence`` on a graph's context: every independent
+    set a smaller than alpha has two maximum supersets that meet only in a,
+    found by packing two pairwise disjoint sets among {s - a : s in Omega,
+    s >= a}."""
+    return all(
+        len(_omega_packing([s ^ a for s in ctx.omega if not a & ~s], 2)) == 2
+        for a in ctx.ind
+        if a.bit_count() < ctx.alpha
+    )
 
 
 def w_member_by_families(g: Graph, k: int, nonempty: bool = False) -> bool:

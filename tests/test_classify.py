@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from wellcover import catalog as cat
+from wellcover import classify
 from wellcover.constructions import CoronaFamily, concatenate, corona_blocks, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -20,6 +21,7 @@ from wellcover.graph import (
 from wellcover.classify import (
     ClassReport,
     GraphContext,
+    _in_w_mask,
     check_wk_monotonicity,
     class_report,
     is_in_w,
@@ -513,6 +515,38 @@ class TestContextMemo:
                 for m in range(1 << n):
                     assert ctx.alpha_of(m) == _alpha(g.adj, m)
                     assert ctx.in_w(1, m) == _wc_scan(g.adj, m)[0]
+
+    def test_members_have_alpha_memoized(self, catalog_by_n):
+        # alpha is computed lazily, yet every mask the recursion found to be
+        # a member, at any level, has its alpha in the memo: a level-k test
+        # reads memo[G - v] after G - v passed at level k - 1
+        small = [
+            empty_graph(0), complete(1), empty_graph(2), empty_graph(4),
+            disjoint_union([complete(1), cycle(5)]),
+            disjoint_union([empty_graph(2), complete(3)]),
+        ]
+        for g in small + [g for n in range(8) for g in catalog_by_n[n]]:
+            memo: dict = {}
+            for k in (1, 2, 3, 4):
+                _in_w_mask(g.adj, g.full_mask, k, memo)
+            members = [key[0] for key, member in memo.items() if type(key) is tuple and member]
+            for m in members:
+                assert memo[m] == _alpha(g.adj, m), (g.adj, m)
+
+    def test_first_failing_deletion_costs_no_alpha(self, monkeypatch):
+        # P8 is not well-covered, and neither are P7, P6 and P5, the graphs
+        # left by deleting its lowest vertices, so at every level k <= 4 the
+        # first deletion already fails at level k - 1
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return _alpha(adj, mask)
+
+        monkeypatch.setattr(classify, "_alpha", counted)
+        ctx = GraphContext(path(8))
+        assert ctx.w_levels == (False, False, False, False)
+        assert calls == []
 
 
 class TestConventionRecording:

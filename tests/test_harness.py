@@ -6,7 +6,7 @@ import pytest
 
 from wellcover import catalog as cat
 from wellcover import harness
-from wellcover.classify import class_report
+from wellcover.classify import class_report, is_in_w
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -20,6 +20,7 @@ from wellcover.graph import (
     vertices_of,
     write_graph6,
 )
+from wellcover.independence import _wc_scan
 from wellcover.harness import (
     GRAPH_THEOREM_IDS,
     GRAPH_THEOREMS,
@@ -40,6 +41,7 @@ from oracles import (
     berge_by_matching,
     is_in_w_generic,
     shedding_epsilon_by_alpha,
+    two_disjoint_completions_by_packing,
     well_covered_without_shedding_by_subsets,
 )
 
@@ -171,6 +173,26 @@ class TestVerdictText:
             self.same(v)
         self.same(TheoremVerdict("thm.x", "EH\\w", True, False, {"graph": "EH\\w"}, 0.5))
 
+    def test_records_with_nested_failing_witnesses(self, monkeypatch):
+        # every verdict fails with a nested witness, on graph ids that need
+        # escaping; the record's graph id is encoded once for all of them
+        monkeypatch.setattr(harness, "GRAPH_THEOREMS", {})
+        witnesses = [
+            {"sets": [[0, 2], [1, 3]], "nested": {"a": [1, {"b": None}], "c": 2.5}},
+            {"pair": [1, 2], "text": 'quote " and back\\slash', "unicode": "\u2205"},
+            [1, [2, [3]]],
+            "bare string",
+        ]
+        for i, witness in enumerate(witnesses):
+            harness._theorem("test.fails-%d" % i, lambda ctx: True)(
+                lambda ctx, witness=witness: (False, witness)
+            )
+        records = list(survey_catalog(["EH\\w", "Bw", "A_", "@"]))
+        assert [len(r["verdicts"]) for r in records] == [4] * 4
+        for record in records:
+            assert not any(v["holds"] for v in record["verdicts"])
+            assert harness.record_json(record) == json.dumps(record)
+
     def test_records_and_summary(self, monkeypatch):
         # a deliberately false statement fills the summary's failures
         monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(harness.GRAPH_THEOREMS))
@@ -194,6 +216,18 @@ class TestVerdictText:
 
 
 class TestRunSuite:
+    def test_survey_records_share_the_verdict_loop(self, catalog_by_n):
+        # a survey record's verdicts are run_suite's verdicts as dicts,
+        # elapsed apart
+        def zeroed(verdicts):
+            return [dict(v, elapsed=0.0) for v in verdicts]
+
+        for n in range(8):
+            for g in catalog_by_n[n]:
+                record = harness._survey_one(3, (1, g))
+                expected = [v.to_json_dict() for v in run_suite(GraphContext(g))]
+                assert zeroed(record["verdicts"]) == zeroed(expected), write_graph6(g)
+
     def test_c5_all_hold(self):
         for verdict in run_suite(cycle(5)):
             assert verdict.holds, verdict
@@ -510,6 +544,34 @@ class TestW2DefinitionPredicate:
     def test_agrees_on_larger_graphs(self):
         members = [corona_uniform(path(3), complete(2)), corona_uniform(cycle(4), complete(2))]
         for g in members + list(relabelled_random_graphs(20261020, 100, 9, 12)):
+            self._assert_agree(g)
+
+
+class TestTwoDisjointCompletions:
+    """p4 of thm.w2-equivalence, read from the meets of pairs of maximum
+    independent sets, against a packing search per independent set."""
+
+    @staticmethod
+    def _assert_agree(g):
+        ctx = GraphContext(g)
+        pred = w2_equivalence_predicates(ctx)["two_disjoint_completions"]
+        assert pred == two_disjoint_completions_by_packing(ctx), write_graph6(g)
+
+    def test_agrees_to_order_eight(self):
+        # every graph of order <= 8 without isolated vertices
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                if all(g.adj):
+                    self._assert_agree(g)
+
+    def test_agrees_on_level_two_of_order_nine(self):
+        full = (1 << 9) - 1
+        members = [
+            g for g in (Graph._raw(9, adj) for adj in cat._level_adj(9))
+            if _wc_scan(g.adj, full)[0] and is_in_w(g, 2)
+        ]
+        assert len(members) == 479
+        for g in members:
             self._assert_agree(g)
 
 

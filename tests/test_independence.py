@@ -29,11 +29,12 @@ from wellcover.independence import (
     maximum_matching_size,
 )
 
-from conftest import disjoint_union, graphs
+from conftest import disjoint_union, graphs, relabelled_random_graphs
 from oracles import (
     _independent_subsets,
     _neighborhood,
     berge_by_matching,
+    differential_by_frontier_dp,
     differential_by_subsets,
     epsilon_by_supersets,
     is_independent,
@@ -142,7 +143,27 @@ class TestDifferential:
         for n in range(9):
             graphs_n = catalog_by_n[n] if n in catalog_by_n else cat.all_graphs(n)
             for g in graphs_n:
-                assert differential_of_graph(g) == differential_by_subsets(g), g
+                expected = differential_by_subsets(g)
+                assert differential_of_graph(g) == expected, g
+                assert differential_by_frontier_dp(g) == expected, g
+
+    def test_matches_full_dp_on_larger_graphs(self):
+        # the DP without its take-step rule, on K_{p,q} for p <= q <= 9 (the
+        # take-step rule cuts most states there), on sparse shapes of order
+        # 30-60 and on random graphs too large for the subset scan to sweep
+        def grid(rows, cols):
+            return Graph(rows * cols, [
+                (r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)
+            ] + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+        moebius = Graph(30, [(i, (i + 1) % 30) for i in range(30)] + [(i, i + 15) for i in range(15)])
+        shapes = [complete_bipartite(p, q) for p in range(1, 10) for q in range(p, 10)]
+        shapes += [cycle(n) for n in range(30, 61)] + [path(40), grid(5, 6), moebius]
+        for g in shapes + list(relabelled_random_graphs(20261020, 200, 10, 16)):
+            assert differential_of_graph(g) == differential_by_frontier_dp(g), g.adj
+        for n in range(30, 61):
+            assert differential_of_graph(cycle(n)) == n // 3
+        assert differential_of_graph(path(40)) == 40 // 3
 
     def test_matches_subset_scan_on_relabeled_random_graphs(self):
         # shuffled labels, so the DP meets vertex orders unrelated to the
