@@ -27,9 +27,9 @@ from .graph import (
     write_graph6,
 )
 
-# the harness, hunting, catalog and constructions modules are imported by the
-# commands that use them, so that ``analyze`` loads none of them and ``hunt``
-# does not load the theorem registry
+# the survey, harness, hunting, catalog and constructions modules are imported
+# by the commands that use them, so that ``analyze`` loads none of them and
+# ``hunt`` does not load the survey or the theorem registry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -214,7 +214,8 @@ def cmd_construct(args) -> int:
 
 
 def _survey_like(args, verify: bool) -> int:
-    from .harness import GRID_THEOREM_IDS, record_json, run_grid, survey_catalog
+    from .harness import GRID_THEOREM_IDS, run_grid
+    from .survey import record_json, survey_catalog
 
     report = survey_catalog(
         iter_source_lines(args.source, args.input),
@@ -258,7 +259,7 @@ def _survey_like(args, verify: bool) -> int:
                 print(f"n={n}: {agg}", file=out)
             if report.failures or grid_failures:
                 print(f"theorem failures: {len(report.failures) + len(grid_failures)}", file=out)
-                for v in report.failures + [x.to_json_dict() for x in grid_failures]:
+                for v in report.failures + grid_failures:
                     print(f"  {v['theorem']} on {v['graph']}: {v['witness']}", file=out)
             else:
                 print("theorem failures: 0", file=out)

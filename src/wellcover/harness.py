@@ -1,41 +1,40 @@
-"""Registry of executable theorem checks and catalog survey drivers; ``hunt``
-and ``HuntTarget`` are re-exported from ``hunting``.
+"""Registry of executable theorem checks; ``hunt`` and ``HuntTarget`` are
+re-exported from ``hunting``, and the catalog survey that runs the registry
+over a stream is in ``survey``.
 
-Each per-graph theorem is one check registered by its ``@_theorem(id, gate)``
-decorator, its docstring the statement and hypotheses; the hypothesis gate
-keeps a vacuously true verdict distinguishable from a confirmed one.  Each
+Each per-graph theorem is one check registered by its
+``@_theorem(id, *hypotheses)`` decorator, its docstring the statement.  Its
+hypotheses are names from ``HYPOTHESES``, tested in the order listed; they
+keep a vacuously true verdict distinguishable from a confirmed one.  Each
 construction-grid theorem is one row of ``GRID_THEOREMS``.  A verdict of
 (applicable and not holds) for a registered theorem signals an implementation
 bug, never new mathematics; the conjecture is a hunt target only and is never
 assumed.
 
-Verdicts have one JSON encoder, ``verdict_json``, which writes the bytes
-``json.dumps`` would from a template per theorem; survey records
-(``record_json``), grid verdicts and the survey summary's failures all go
-through it.
+A verdict has one layout, the dict ``_verdict`` builds, and one JSON encoder,
+``verdict_json``, which writes the bytes ``json.dumps`` would from a template
+per theorem; survey records, grid verdicts and the survey summary's failures
+all go through it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections.abc import Iterator
 from functools import cache, partial, reduce
-from itertools import chain, product
+from itertools import product
 from json import dumps
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .classify import (
     SCHEMA_VERSION,
     GraphContext,
     _context,
     check_wk_monotonicity,
-    class_report,
     is_simplicial_graph,
 )
 from .graph import (
     Graph,
-    Graph6Error,
     complement,
     complete,
     components,
@@ -49,7 +48,7 @@ from .graph import (
     write_graph6,
 )
 from .hunting import HuntTarget, hunt  # noqa: F401  (re-exported)
-from .hunting import _concatenation_sweep, _read_graphs
+from .hunting import _concatenation_sweep
 from .independence import _iter_maximal_independent, _omega_packing, can_match_into
 
 
@@ -58,45 +57,38 @@ from .independence import _iter_maximal_independent, _omega_packing, can_match_i
 # ---------------------------------------------------------------------------
 
 
-# plain classes, not dataclasses, so that ``verify`` does not import
-# dataclasses (and with it inspect)
-class TheoremVerdict:
-    """One theorem's verdict on one graph or grid point."""
+class TheoremVerdict(dict):
+    """One theorem's verdict on one graph or grid point: its JSON dict, as
+    ``_verdict`` lays it out, with read-only attributes for its fields."""
 
-    def __init__(
-        self,
-        theorem_id: str,
-        graph_id: str,
-        applicable: bool,
-        holds: bool,
-        witness: object = None,
-        elapsed: float = 0.0,
-    ):
-        if not applicable and (not holds or witness is not None):
-            raise ValueError("inapplicable verdicts are vacuously true, without witness")
-        if witness is not None and holds:
-            raise ValueError("a witness documents a failure")
-        self.theorem_id = theorem_id
-        self.graph_id = graph_id
-        self.applicable = applicable
-        self.holds = holds
-        self.witness = witness
-        self.elapsed = float(elapsed)
+    __slots__ = ()
+    theorem_id = property(itemgetter("theorem"))
+    graph_id = property(itemgetter("graph"))
+    applicable = property(itemgetter("applicable"))
+    holds = property(itemgetter("holds"))
+    witness = property(itemgetter("witness"))
+    elapsed = property(itemgetter("elapsed"))
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "theorem": self.theorem_id,
-            "graph": self.graph_id,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "witness": self.witness,
-            "elapsed": self.elapsed,
-        }
+        return self
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict())``, written from a template."""
-        return verdict_json(self.to_json_dict())
+        """``json.dumps(self)``, written from a template."""
+        return verdict_json(self)
+
+
+def _verdict(theorem_id, graph_id, applicable, holds, witness, elapsed: float) -> dict:
+    # the one layout of a verdict; an inapplicable verdict holds, and only a
+    # failure has a witness
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "theorem": theorem_id,
+        "graph": graph_id,
+        "applicable": applicable,
+        "holds": holds,
+        "witness": witness,
+        "elapsed": elapsed,
+    }
 
 
 # at most three templates per theorem id
@@ -113,9 +105,9 @@ def _verdict_template(theorem_id: str, applicable: bool, holds: bool) -> str:
 
 def verdict_json(verdict: dict) -> str:
     """The one encoder of verdicts: the bytes ``json.dumps`` writes for a
-    verdict's dict (``TheoremVerdict.to_json_dict``), from the template of its
-    theorem, applicability and outcome.  The graph id and the witness go
-    through json's own encoder, and elapsed, always a float, through
+    verdict's dict (``_verdict``), from the template of its theorem,
+    applicability and outcome.  The graph id and the witness go through
+    json's own encoder, and elapsed, always a float, through
     ``float.__repr__`` as json does."""
     return _verdict_text(verdict, encode_basestring_ascii(verdict["graph"]))
 
@@ -210,92 +202,60 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis gates
+# hypotheses
 # ---------------------------------------------------------------------------
 
 
-def _nonempty(ctx):
-    return ctx.g.n >= 1
-
-
-def _no_isolated(ctx):
-    return ctx.g.n >= 1 and all(row != 0 for row in ctx.adj)
-
-
-def _wc_gate(ctx):
-    return _nonempty(ctx) and ctx.well_covered
-
-
-def _w2_gate(ctx):
-    return _nonempty(ctx) and ctx.w2
-
-
-def _w2_connected(ctx):
-    return _w2_gate(ctx) and ctx.connected
-
-
-def _w2_connected_not_k2(ctx):
-    return _w2_connected(ctx) and not ctx.is_k2()
-
-
-def _two_simplicial_gate(ctx):
-    parts = ctx.simplex_partition
-    if not _nonempty(ctx) or parts is None:
-        return False
-    return all((s & ctx.simp).bit_count() >= 2 for s in parts)
-
-
-def _girth6_gate(ctx):
-    return (
-        _nonempty(ctx)
-        and ctx.connected
-        and ctx.girth >= 6
-        and not ctx.is_cycle_of(7)
-        and ctx.g.n != 1
-    )
-
-
-def _girth5_gate(ctx):
-    return _nonempty(ctx) and ctx.connected and ctx.girth >= 5
-
-
-def _hartnell_gate(ctx):
-    return _nonempty(ctx) and ctx.connected and not has_four_cycle(ctx.g)
-
-
-def _triangle_free_gate(ctx):
-    return _no_isolated(ctx) and is_triangle_free_mask(ctx.g, ctx.full)
-
-
-def _locally_tf_w2_gate(ctx):
-    return _w2_gate(ctx) and ctx.locally_triangle_free
+# name -> test on a graph's context; a theorem lists the names of its
+# hypotheses, which are tested in that order up to the first that fails
+HYPOTHESES = {
+    "nonempty": lambda ctx: ctx.g.n >= 1,
+    "no_isolated": lambda ctx: all(ctx.adj),
+    "well_covered": lambda ctx: ctx.well_covered,
+    "w2": lambda ctx: ctx.w2,
+    "connected": lambda ctx: ctx.connected,
+    "not_k1": lambda ctx: ctx.g.n != 1,
+    "not_k2": lambda ctx: not ctx.is_k2(),
+    "not_c7": lambda ctx: not ctx.is_cycle_of(7),
+    "girth_5": lambda ctx: ctx.girth >= 5,
+    "girth_6": lambda ctx: ctx.girth >= 6,
+    "no_c4": lambda ctx: not has_four_cycle(ctx.g),
+    "triangle_free": lambda ctx: is_triangle_free_mask(ctx.g, ctx.full),
+    "locally_triangle_free": lambda ctx: ctx.locally_triangle_free,
+    # the simplexes partition the vertices, each with two simplicial vertices
+    "two_simplicial": lambda ctx: ctx.simplex_partition is not None and all(
+        (s & ctx.simp).bit_count() >= 2 for s in ctx.simplex_partition
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # per-graph theorems
 # ---------------------------------------------------------------------------
 
-# id -> (gate, check), in registration order, which is the order of verdicts
+# id -> (hypothesis names, check), in registration order, which is the order
+# of verdicts
 GRAPH_THEOREMS: dict[str, tuple] = {}
 
 
-def _theorem(theorem_id: str, gate):
-    """Register the decorated check as the per-graph theorem ``theorem_id``.
+def _theorem(theorem_id: str, *hypotheses: str):
+    """Register the decorated check as the per-graph theorem ``theorem_id``
+    under the named ``HYPOTHESES``.
 
-    The check runs where ``gate(ctx)`` holds and returns (holds, witness);
+    The check runs where every hypothesis holds and returns (holds, witness);
     elsewhere the theorem is vacuously true.
     """
 
     def register(check):
         if theorem_id in GRAPH_THEOREMS:
             raise ValueError(f"duplicate theorem id {theorem_id}")
-        GRAPH_THEOREMS[theorem_id] = (gate, check)
+        GRAPH_THEOREMS[theorem_id] = (hypotheses, check)
         return check
 
     return register
 
 
-@_theorem("lem.alpha-stability", _wc_gate)
+@_theorem("lem.alpha-stability", "nonempty", "well_covered")
 def _chk_alpha_stability(ctx):
     """Deleting a non-isolated vertex of a well-covered graph preserves the
     independence number.  Hypotheses: nonempty, well-covered."""
@@ -308,7 +268,7 @@ def _chk_alpha_stability(ctx):
     return True, None
 
 
-@_theorem("thm.w2-equivalence", _no_isolated)
+@_theorem("thm.w2-equivalence", "nonempty", "no_isolated")
 def _chk_w2_equivalence(ctx):
     """The seven characterizations of level-2 membership agree.
     Hypotheses: nonempty, no isolated vertices."""
@@ -319,7 +279,7 @@ def _chk_w2_equivalence(ctx):
     return False, {"predicates": preds}
 
 
-@_theorem("cor.w2-minus-ns", _w2_gate)
+@_theorem("cor.w2-minus-ns", "nonempty", "w2")
 def _chk_w2_minus_ns(ctx):
     """Removing the closed neighborhood of a non-maximum independent set keeps
     level-2 membership.  Hypotheses: nonempty, in level 2."""
@@ -332,7 +292,7 @@ def _chk_w2_minus_ns(ctx):
     return True, None
 
 
-@_theorem("cor.w2-no-leaf", _w2_connected_not_k2)
+@_theorem("cor.w2-no-leaf", "nonempty", "w2", "connected", "not_k2")
 def _chk_w2_no_leaf(ctx):
     """A connected level-2 member other than the single edge has minimum
     degree >= 2.  Hypotheses: connected, in level 2, not the single edge."""
@@ -342,7 +302,7 @@ def _chk_w2_no_leaf(ctx):
     return True, None
 
 
-@_theorem("cor.w2-minus-nv", _w2_gate)
+@_theorem("cor.w2-minus-nv", "nonempty", "w2")
 def _chk_w2_minus_nv(ctx):
     """Removing any closed vertex neighborhood keeps level-2 membership.
     Hypotheses: nonempty, in level 2."""
@@ -353,7 +313,7 @@ def _chk_w2_minus_nv(ctx):
     return True, None
 
 
-@_theorem("thm.w2-properties", _w2_connected_not_k2)
+@_theorem("thm.w2-properties", "nonempty", "w2", "connected", "not_k2")
 def _chk_w2_properties(ctx):
     """Structural consequences (order, matching, differential,
     regularizability) of level-2 membership.  Hypotheses: connected, in
@@ -405,7 +365,7 @@ def _chk_w2_properties(ctx):
     return True, None
 
 
-@_theorem("cor.w2-degree-bound", _w2_connected)
+@_theorem("cor.w2-degree-bound", "nonempty", "w2", "connected")
 def _chk_w2_degree_bound(ctx):
     """Degrees inside an independent set are bounded by its neighborhood
     slack.  Hypotheses: connected, in level 2."""
@@ -417,7 +377,7 @@ def _chk_w2_degree_bound(ctx):
     return True, None
 
 
-@_theorem("cor.w2-differential-bound", _w2_gate)
+@_theorem("cor.w2-differential-bound", "nonempty", "w2")
 def _chk_w2_differential_bound(ctx):
     """The graph differential is at least n - 2*alpha (and that is at least
     max degree - 1 when connected).  Hypotheses: in level 2 (second
@@ -433,7 +393,7 @@ def _chk_w2_differential_bound(ctx):
     return True, None
 
 
-@_theorem("thm.shedding-epsilon", _nonempty)
+@_theorem("thm.shedding-epsilon", "nonempty")
 def _chk_shedding_epsilon(ctx):
     """A vertex is shedding iff deleting it preserves every enlargement
     strength.  Hypotheses: nonempty.
@@ -470,7 +430,7 @@ def _chk_shedding_epsilon(ctx):
     return True, None
 
 
-@_theorem("cor.shedding-wc", _wc_gate)
+@_theorem("cor.shedding-wc", "nonempty", "well_covered")
 def _chk_shedding_wc(ctx):
     """In a well-covered graph a non-isolated vertex is shedding iff its
     deletion stays well-covered.  Hypotheses: nonempty, well-covered."""
@@ -482,7 +442,7 @@ def _chk_shedding_wc(ctx):
     return True, None
 
 
-@_theorem("cor.shedding-four-way", _wc_gate)
+@_theorem("cor.shedding-four-way", "nonempty", "well_covered")
 def _chk_shedding_four_way(ctx):
     """The shedding characterizations agree for non-isolated vertices of
     well-covered graphs: G - v is well-covered, N(S) covers N(v) for no
@@ -511,7 +471,7 @@ def _chk_shedding_four_way(ctx):
     return True, None
 
 
-@_theorem("prop.simplicial-shed", _nonempty)
+@_theorem("prop.simplicial-shed", "nonempty")
 def _chk_simplicial_shed(ctx):
     """Neighbors of a simplicial vertex are shedding.  Hypotheses: nonempty."""
     shed = ctx.shed
@@ -521,7 +481,7 @@ def _chk_simplicial_shed(ctx):
     return True, None
 
 
-@_theorem("cor.simplicial-delete", _wc_gate)
+@_theorem("cor.simplicial-delete", "nonempty", "well_covered")
 def _chk_simplicial_delete(ctx):
     """Deleting a neighbor of a simplicial vertex keeps a well-covered graph
     well-covered.  Hypotheses: nonempty, well-covered."""
@@ -532,7 +492,7 @@ def _chk_simplicial_delete(ctx):
     return True, None
 
 
-@_theorem("thm.simplex-partition", _nonempty)
+@_theorem("thm.simplex-partition", "nonempty")
 def _chk_simplex_partition(ctx):
     """The simplexes partition the vertices iff the graph is simplicial and
     well-covered.  Hypotheses: nonempty."""
@@ -542,7 +502,7 @@ def _chk_simplex_partition(ctx):
     )
 
 
-@_theorem("prop.two-simplicial-w2", _two_simplicial_gate)
+@_theorem("prop.two-simplicial-w2", "nonempty", "two_simplicial")
 def _chk_two_simplicial_w2(ctx):
     """Simplex-partitioned graphs with two simplicial vertices per simplex are
     level-2 members.  Hypotheses: simplexes partition the vertices, each with
@@ -552,7 +512,7 @@ def _chk_two_simplicial_w2(ctx):
     return False, _wit(w2=False)
 
 
-@_theorem("thm.w2-five-way", lambda ctx: _no_isolated(ctx) and ctx.well_covered)
+@_theorem("thm.w2-five-way", "nonempty", "no_isolated", "well_covered")
 def _chk_w2_five_way(ctx):
     """Five characterizations of level-2 membership for well-covered graphs
     without isolated vertices.  Hypotheses: nonempty, well-covered, no
@@ -578,7 +538,7 @@ def _chk_w2_five_way(ctx):
     )
 
 
-@_theorem("cor.w2-order-extremal", _w2_connected)
+@_theorem("cor.w2-order-extremal", "nonempty", "w2", "connected")
 def _chk_order_extremal(ctx):
     """Order-extremal and bipartite connected level-2 members are the known
     ones.  Hypotheses: connected, in level 2."""
@@ -592,7 +552,7 @@ def _chk_order_extremal(ctx):
     return True, None
 
 
-@_theorem("thm.w2-triangle-free-gab", _triangle_free_gate)
+@_theorem("thm.w2-triangle-free-gab", "nonempty", "no_isolated", "triangle_free")
 def _chk_gab_criterion(ctx):
     """Triangle-free level-2 membership via well-coveredness of all
     edge-neighborhood deletions.  Hypotheses: nonempty, triangle-free, no
@@ -607,7 +567,7 @@ def _chk_gab_criterion(ctx):
     return _agree(w2=ctx.w2, edge_contraction_criterion=cond)
 
 
-@_theorem("prop.locally-tf-w2", _locally_tf_w2_gate)
+@_theorem("prop.locally-tf-w2", "nonempty", "w2", "locally_triangle_free")
 def _chk_locally_tf_w2(ctx):
     """Locally triangle-free level-2 members with small independence number
     are complete graphs or cycle complements.  Hypotheses: in level 2,
@@ -638,7 +598,7 @@ def _chk_locally_tf_w2(ctx):
     return True, None
 
 
-@_theorem("thm.wk-monotonicity", _nonempty)
+@_theorem("thm.wk-monotonicity", "nonempty")
 def _chk_wk_monotonicity(ctx):
     """Level-k membership forces the k-weighted neighborhood deficiency to be
     monotone.  Hypotheses: nonempty (levels 1..3 probed)."""
@@ -650,7 +610,7 @@ def _chk_wk_monotonicity(ctx):
     return True, None
 
 
-@_theorem("thm.wk-chain", lambda ctx: True)
+@_theorem("thm.wk-chain")
 def _chk_wk_chain(ctx):
     """Hierarchy levels are nested.  Hypotheses: none (levels up to 4
     probed)."""
@@ -661,7 +621,7 @@ def _chk_wk_chain(ctx):
     return True, None
 
 
-@_theorem("thm.berge-maximum", _nonempty)
+@_theorem("thm.berge-maximum", "nonempty")
 def _chk_berge(ctx):
     """An independent set is maximum iff every disjoint independent set
     matches into it.  Hypotheses: nonempty.
@@ -682,7 +642,9 @@ def _chk_berge(ctx):
     return True, None
 
 
-@_theorem("thm.girth6-wc-corona", _girth6_gate)
+@_theorem(
+    "thm.girth6-wc-corona", "nonempty", "connected", "girth_6", "not_c7", "not_k1"
+)
 def _chk_girth6_corona(ctx):
     """Connected well-covered graphs of girth >= 6 are pendant coronas (known
     exceptions aside).  Hypotheses: connected, girth >= 6, not the 7-cycle,
@@ -690,14 +652,14 @@ def _chk_girth6_corona(ctx):
     return _agree(well_covered=ctx.well_covered, pendant_corona=ctx.clique_corona(1))
 
 
-@_theorem("thm.girth5-vwc-corona", _girth5_gate)
+@_theorem("thm.girth5-vwc-corona", "nonempty", "connected", "girth_5")
 def _chk_girth5_corona(ctx):
     """Connected very well-covered graphs of girth >= 5 are pendant coronas.
     Hypotheses: connected, girth >= 5."""
     return _agree(very_well_covered=ctx.very_well_covered, pendant_corona=ctx.clique_corona(1))
 
 
-@_theorem("thm.hartnell-c4free", _hartnell_gate)
+@_theorem("thm.hartnell-c4free", "nonempty", "connected", "no_c4")
 def _chk_hartnell(ctx):
     """Connected graphs without 4-cycles in level 2 are the single edge, the
     5-cycle, or an edge corona.  Hypotheses: connected, no 4-cycle."""
@@ -870,51 +832,38 @@ GRID_THEOREM_IDS = list(GRID_THEOREMS)
 # ---------------------------------------------------------------------------
 
 
-def _verdicts(ctx: GraphContext, theorem_ids) -> list[dict]:
-    """The verdicts of ``theorem_ids`` on one graph's context, in order, as
-    ``TheoremVerdict.to_json_dict`` writes them: the one evaluation loop,
-    read by ``run_suite`` and, with no ``TheoremVerdict`` built, by the
+def _verdicts(ctx: GraphContext, theorem_ids=None) -> list[dict]:
+    """The verdicts of ``theorem_ids`` (default all) on one graph's context,
+    in order: the one evaluation loop, read by ``run_suite`` and by the
     survey records."""
     graph_id = ctx.graph6
     out = []
-    for tid in theorem_ids:
+    for tid in GRAPH_THEOREMS if theorem_ids is None else theorem_ids:
         if tid not in GRAPH_THEOREMS:
             if tid in GRID_THEOREMS:
                 raise ValueError(f"{tid!r} is a construction-grid theorem; use run_grid")
             raise ValueError(f"unknown theorem id {tid!r}")
-        gate, check = GRAPH_THEOREMS[tid]
+        hypotheses, check = GRAPH_THEOREMS[tid]
         t0 = time.perf_counter_ns()
-        if gate(ctx):
-            applicable = True
-            holds, witness = check(ctx)
-            if holds:
-                witness = None
-        else:
-            applicable, holds, witness = False, True, None
-        out.append({
-            "schema_version": SCHEMA_VERSION,
-            "theorem": tid,
-            "graph": graph_id,
-            "applicable": applicable,
-            "holds": holds,
-            "witness": witness,
-            # whole nanoseconds, whose repr is about half as long to write
-            # as that of a difference of two float clock readings
-            "elapsed": (time.perf_counter_ns() - t0) / 1e9,
-        })
+        applicable = True
+        for name in hypotheses:  # a loop, not all() over a generator: cheaper
+            if not HYPOTHESES[name](ctx):
+                applicable = False
+                break
+        holds, witness = check(ctx) if applicable else (True, None)
+        if holds:
+            witness = None
+        # whole nanoseconds, whose repr is about half as long to write as
+        # that of a difference of two float clock readings
+        out.append(_verdict(
+            tid, graph_id, applicable, holds, witness, (time.perf_counter_ns() - t0) / 1e9
+        ))
     return out
 
 
 def run_suite(g: Graph | GraphContext, theorem_ids=None) -> list[TheoremVerdict]:
     """Evaluate registered per-graph theorems on one graph (or its context)."""
-    if theorem_ids is None:
-        theorem_ids = GRAPH_THEOREMS
-    return [
-        TheoremVerdict(
-            v["theorem"], v["graph"], v["applicable"], v["holds"], v["witness"], v["elapsed"]
-        )
-        for v in _verdicts(_context(g), theorem_ids)
-    ]
+    return list(map(TheoremVerdict, _verdicts(_context(g), theorem_ids)))
 
 
 def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict]:
@@ -931,197 +880,9 @@ def run_grid(theorem_id: str, bounds: dict | None = None) -> list[TheoremVerdict
     out = []
     t0 = time.perf_counter()
     for g, holds, witness in points:
-        out.append(
-            TheoremVerdict(
-                theorem_id, write_graph6(g), True, holds, None if holds else witness,
-                time.perf_counter() - t0,
-            )
-        )
+        out.append(TheoremVerdict(_verdict(
+            theorem_id, write_graph6(g), True, holds, None if holds else witness,
+            time.perf_counter() - t0,
+        )))
         t0 = time.perf_counter()  # the next grid point starts here
     return out
-
-
-# ---------------------------------------------------------------------------
-# catalog survey
-# ---------------------------------------------------------------------------
-
-
-# a plain class for the same reason as TheoremVerdict
-class SurveyReport:
-    """A survey in progress.  Iterating it yields one record per graph, in
-    input order, and folds each record into the counters below, which are
-    final once the iteration ends."""
-
-    def __init__(self):
-        self.aggregates = {}    # per-order counters
-        self.failures = []      # verdicts of proven theorems that failed
-        self.parse_errors = []  # (line_number, message)
-        self.graphs = 0
-        self.elapsed = 0.0
-        self._records = iter(())
-
-    def __iter__(self) -> Iterator[dict]:
-        return self._records
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "aggregates": self.aggregates,
-            "failures": self.failures,
-            "parse_errors": [
-                {"line": line, "message": msg} for line, msg in self.parse_errors
-            ],
-            "graphs": self.graphs,
-            "elapsed": self.elapsed,
-        }
-
-    def summary_json(self, grid_failures=()) -> str:
-        """The summary line: ``json.dumps`` of ``to_json_dict()`` with a
-        ``grid_failures`` list of grid verdicts added, each failure written
-        by the verdict encoder."""
-        doc = self.to_json_dict()
-        return (
-            '{"schema_version": %d, "aggregates": %s, "failures": [%s], "parse_errors": %s,'
-            ' "graphs": %d, "elapsed": %s, "grid_failures": [%s]}'
-            % (
-                doc["schema_version"], dumps(doc["aggregates"]),
-                ", ".join(map(verdict_json, self.failures)), dumps(doc["parse_errors"]),
-                self.graphs, float.__repr__(self.elapsed),
-                ", ".join(v.to_json() for v in grid_failures),
-            )
-        )
-
-    def _fold(self, record: dict):
-        self.graphs += 1
-        rep = record["report"]
-        counted = {
-            "graphs": True,
-            "well_covered": rep["well_covered"],
-            "very_well_covered": rep["very_well_covered"],
-            "one_well_covered": rep["one_well_covered"],
-        }
-        # only the levels the report probed: w_level stops at its k_max
-        for k in range(2, rep["k_max"] + 1):
-            counted[f"w{k}"] = rep["w_level"] >= k
-        agg = self.aggregates.setdefault(rep["n"], dict.fromkeys(counted, 0))
-        for key, flag in counted.items():
-            agg[key] += int(flag)
-        for verdict in record["verdicts"]:
-            if verdict["applicable"] and not verdict["holds"]:
-                self.failures.append(verdict)
-
-
-def record_json(record: dict) -> str:
-    """``json.dumps(record)`` of a survey record, its verdicts written by the
-    verdict encoder.  Every verdict of a record is of the report's graph, so
-    its id is encoded once."""
-    report = record["report"]
-    graph_text = encode_basestring_ascii(report["graph"])
-    return '{"line": %d, "report": %s, "verdicts": [%s]}' % (
-        record["line"], dumps(report),
-        ", ".join([_verdict_text(v, graph_text) for v in record["verdicts"]]),
-    )
-
-
-def _survey_one(k_max: int, item) -> dict:
-    line_number, g = item
-    ctx = GraphContext(g)
-    return {
-        "line": line_number,
-        "report": class_report(ctx, k_max).to_json_dict(),
-        "verdicts": _verdicts(ctx, GRAPH_THEOREMS),
-    }
-
-
-def survey_catalog(
-    lines,
-    k_max: int = 3,
-    connected: bool = False,
-    strict: bool = False,
-    jobs: int = 1,
-) -> SurveyReport:
-    """Classify and theorem-check every graph of a stream of graph6 lines or
-    ``Graph`` objects.
-
-    Nothing is read until the returned report is iterated; it then yields
-    one record per graph in input order, each as soon as it is ready, so
-    memory does not grow with the stream.  ``connected`` skips disconnected
-    graphs.  A line number counts every item of the stream, a ``Graph``
-    included.  Parse failures are recorded with their line numbers and skipped,
-    unless ``strict``: then the records before the first malformed line come
-    out and the iteration raises ``Graph6Error``.  ``jobs`` > 1 spreads the
-    per-graph work over that many worker processes, capped at the CPUs the
-    process may use, without changing the records; the workers start only
-    once the survey has run serially for ``POOL_AFTER_S`` (about 0.5 s), so
-    a short survey starts none.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    report = SurveyReport()
-    report._records = _survey_stream(report, lines, k_max, connected, strict, jobs)
-    return report
-
-
-# A survey with jobs > 1 hands the rest of its stream to the worker pool only
-# after computing records serially for this many seconds.  Importing
-# multiprocessing and its pool and forking two workers takes 20-30 ms, and
-# each graph and record then crosses a pipe, while one order-8 or order-9
-# graph takes 0.5-0.9 ms (in-process, 2-vCPU Xeon).  So the benchmark's
-# 240-graph verify ran barely faster at --jobs 2 than at --jobs 1 (pool
-# speed-up 0.95-1.11) and spent more CPU time.  Half a second of serial work
-# makes that start-up a few per cent of any run that reaches the pool, and a
-# long run gives up at most half a second of parallel work.
-POOL_AFTER_S = 0.5
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _survey_stream(report, lines, k_max, connected, strict, jobs):
-    t0 = time.perf_counter()
-    work = _read_graphs(lines, connected, None if strict else report.parse_errors)
-    survey_one = partial(_survey_one, k_max)
-    jobs = min(jobs, _usable_cpus())
-    for item in work:
-        record = survey_one(item)
-        report._fold(record)
-        yield record
-        if jobs > 1 and time.perf_counter() - t0 >= POOL_AFTER_S:
-            for record in _pooled(survey_one, work, jobs):
-                report._fold(record)
-                yield record
-            break
-    report.aggregates = {n: report.aggregates[n] for n in sorted(report.aggregates)}
-    report.elapsed = time.perf_counter() - t0
-
-
-def _pooled(survey_one, work, jobs):
-    """The records of the rest of ``work``, in order, from ``jobs`` worker
-    processes; an input that has ended starts none."""
-    first = next(work, None)
-    if first is None:
-        return
-    import multiprocessing  # about 20 ms of start-up that short surveys skip
-
-    stopped = []  # the strict-mode parse error that ended the input
-    with multiprocessing.Pool(jobs) as pool:
-        # the pool reads its input on a thread of its own and would drop
-        # the records of a partly read chunk if that read raised, so the
-        # error is held back until the records before it are out
-        items = _until_parse_error(chain([first], work), stopped)
-        yield from pool.imap(survey_one, items, chunksize=16)
-    if stopped:
-        raise stopped[0]
-
-
-def _until_parse_error(items, stopped: list):
-    try:
-        yield from items
-    except Graph6Error as exc:
-        stopped.append(exc)

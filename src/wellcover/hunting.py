@@ -1,11 +1,12 @@
 """Counterexample hunts for the open problems and the concatenation
 conjecture, and the graph reader and concatenation sweep they share with
-the catalog survey and the construction grids.
+the catalog survey in ``survey`` and the construction grids in ``harness``.
 
 A hunt reads the catalog or a stream and runs no registered theorem, so this
-module does not import the theorem registry in ``harness``.  The catalog and
-the constructions are imported where they are used, so that a survey of a
-file, which reads its graphs here, loads neither.
+module imports neither the theorem registry in ``harness`` nor the survey
+driver that runs it.  The catalog and the constructions are imported where
+they are used, so that a survey of a file, which reads its graphs here,
+loads neither.
 """
 
 from __future__ import annotations

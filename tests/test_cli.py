@@ -11,7 +11,7 @@ import pytest
 from wellcover import catalog as cat
 from wellcover import cli
 from wellcover.graph import parse_graph6, write_graph6, cycle, path
-from wellcover import harness, hunting
+from wellcover import harness, hunting, survey
 from wellcover.catalog import certificate
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import complete
@@ -306,6 +306,12 @@ class TestGoldenOutput:
                 "73bd06776a0d071a1476399f61ca81f8005f23308863f58618ac29b2d909b9eb",
             ),
             (
+                # the empty graph and the disconnected graphs, which the
+                # nonempty, no_isolated and connected hypotheses mostly decide
+                ("verify", "catalog:0..6", "--format", "json"),
+                "7abc06e5aaab53092eb53a2c0653a4730d56a67f7011aed61788ef43203cd661",
+            ),
+            (
                 ("verify", "catalog:connected:1..6", "--format", "table"),
                 "4c98d8148936837aca81e9841f05b633999d6fb1d707e6cfcca5c498cf07f251",
             ),
@@ -325,13 +331,13 @@ class TestGoldenOutput:
         ],
         ids=[
             "verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding",
-            "hunt-wk-concat", "survey-json", "verify-table", "analyze-c22",
-            "analyze-k12-13", "analyze-c5-corona-k2",
+            "hunt-wk-concat", "survey-json", "verify-all-to-six", "verify-table",
+            "analyze-c22", "analyze-k12-13", "analyze-c5-corona-k2",
         ],
     )
     def test_zeroed_output_digest(self, capsys, monkeypatch, argv, digest):
         # the --jobs 2 run hands its stream to the pool after the first record
-        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(survey, "POOL_AFTER_S", 0)
         code, out, _ = run_cli(capsys, *argv)
         zeroed = re.sub(r'"elapsed": [-0-9.e+]+', '"elapsed": 0', out)
         assert code == 0
@@ -351,7 +357,7 @@ class TestVerify:
         # a deliberately false statement, registered on a copy of the registry
         monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(harness.GRAPH_THEOREMS))
 
-        @harness._theorem("test.always-false", lambda ctx: True)
+        @harness._theorem("test.always-false")
         def _always_false(ctx):
             return False, {"reason": "synthetic"}
 
@@ -475,9 +481,9 @@ class TestPoolOutput:
         src.write_text("".join(write_graph6(cycle(n)) + "\n" for n in range(3, 11)) * 5)
         script = (
             "import sys\n"
-            "from wellcover import cli, harness\n"
-            "harness.POOL_AFTER_S = 0\n"
-            "harness._usable_cpus = lambda: 2\n"
+            "from wellcover import cli, survey\n"
+            "survey.POOL_AFTER_S = 0\n"
+            "survey._usable_cpus = lambda: 2\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -548,8 +554,8 @@ class TestStartupImports:
         loaded = self.loaded("analyze", "cycle:7", "--format", "json")
         assert {"wellcover.classify", "wellcover.cli"} <= loaded
         unused = {
-            "wellcover.harness", "wellcover.catalog", "wellcover.constructions",
-            "dataclasses", "multiprocessing",
+            "wellcover.harness", "wellcover.survey", "wellcover.catalog",
+            "wellcover.constructions", "dataclasses", "multiprocessing",
         }
         assert not loaded & unused, loaded & unused
 
@@ -570,7 +576,10 @@ class TestStartupImports:
     def test_hunt_loads_no_theorem_registry(self, source):
         loaded = self.loaded("hunt", "problem.no-shedding", *source)
         assert {"wellcover.hunting", "wellcover.catalog"} <= loaded
-        unused = {"wellcover.harness", "dataclasses", "inspect", "multiprocessing", "pathlib"}
+        unused = {
+            "wellcover.harness", "wellcover.survey", "dataclasses", "inspect",
+            "multiprocessing", "pathlib",
+        }
         assert not loaded & unused, loaded & unused
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -578,7 +587,7 @@ class TestStartupImports:
         src = tmp_path / "graphs.g6"
         src.write_text("A_\nBw\nDQw\n")
         loaded = self.loaded("verify", str(src), "--format", "json", "--jobs", jobs)
-        assert {"wellcover.harness", "wellcover.hunting"} <= loaded
+        assert {"wellcover.survey", "wellcover.harness", "wellcover.hunting"} <= loaded
         unused = {
             "wellcover.catalog", "wellcover.constructions", "dataclasses", "inspect",
             "multiprocessing", "pathlib",
@@ -589,7 +598,7 @@ class TestStartupImports:
         # the concatenation sweep lives in hunting, next to the reader
         loaded = self.loaded("hunt", "conjecture.wk-concat", "--max-n", "4", "--base-max-n", "2")
         assert {"wellcover.hunting", "wellcover.constructions"} <= loaded
-        assert "wellcover.harness" not in loaded
+        assert not loaded & {"wellcover.harness", "wellcover.survey"}
 
 
 HUNT_CHOICES = (

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from wellcover import catalog as cat
-from wellcover import harness
-from wellcover.classify import class_report, is_in_w
+from wellcover import harness, survey
+from wellcover.classify import SCHEMA_VERSION, class_report, is_in_w
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -32,9 +32,9 @@ from wellcover.harness import (
     hunt,
     run_grid,
     run_suite,
-    survey_catalog,
     w2_equivalence_predicates,
 )
+from wellcover.survey import survey_catalog
 
 from conftest import disjoint_union, relabelled_random_graphs
 from oracles import (
@@ -92,8 +92,8 @@ class TestRegistry:
     def test_every_id_has_an_executable_body(self):
         assert GRAPH_THEOREM_IDS == list(GRAPH_THEOREMS)
         assert GRID_THEOREM_IDS == list(GRID_THEOREMS)
-        for tid, (gate, check) in GRAPH_THEOREMS.items():
-            assert callable(gate) and callable(check), tid
+        for tid, (hypotheses, check) in GRAPH_THEOREMS.items():
+            assert callable(check) and set(hypotheses) <= set(harness.HYPOTHESES), tid
         for tid, runner in GRID_THEOREMS.items():
             assert callable(runner), tid
 
@@ -102,7 +102,7 @@ class TestRegistry:
 
         monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(GRAPH_THEOREMS))
         with pytest.raises(ValueError, match="duplicate theorem id"):
-            harness._theorem("thm.wk-chain", lambda ctx: True)(lambda ctx: (True, None))
+            harness._theorem("thm.wk-chain")(lambda ctx: (True, None))
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem id"):
@@ -117,14 +117,50 @@ class TestRegistry:
             run_grid("thm.w2-equivalence")
 
 
+def failure(theorem_id, graph_id, witness, elapsed):
+    return TheoremVerdict(harness._verdict(theorem_id, graph_id, True, False, witness, elapsed))
+
+
 class TestVerdicts:
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            TheoremVerdict("x", "A_", False, False)
-        with pytest.raises(ValueError):
-            TheoremVerdict("x", "A_", False, True, witness={"v": 1})
-        with pytest.raises(ValueError):
-            TheoremVerdict("x", "A_", True, True, witness={"v": 1})
+    @staticmethod
+    def check_invariants(v: TheoremVerdict):
+        # an inapplicable verdict holds, only a failure has a witness, and
+        # elapsed is a float, which the verdict encoder writes
+        assert v.applicable or v.holds, v
+        assert v.witness is None or not v.holds, v
+        assert type(v.elapsed) is float, v
+
+    def test_invariants_of_every_suite_verdict_to_order_seven(self, catalog_by_n):
+        # disconnected graphs and the empty graph included
+        for n in range(8):
+            for g in catalog_by_n[n]:
+                for v in run_suite(g):
+                    self.check_invariants(v)
+
+    @pytest.mark.parametrize(
+        "theorem_id, bounds",
+        [
+            ("prop.corona-wc", {"base_max_n": 2}),
+            ("prop.corona-w2", {"base_max_n": 2}),
+            ("cor.corona-k1wc", {"base_max_n": 3, "p_max": 2}),
+            ("thm.corona-bipartite-2mis", {"h_max_n": 3}),
+            ("prop.join-wc", {"part_max_n": 3}),
+            ("prop.join-w2", {"part_max_n": 3}),
+            ("lem.concat-alpha", {"base_max_n": 2, "part_max_n": 3}),
+            ("thm.concat-hierarchy", {"base_max_n": 2, "part_max_n": 4}),
+        ],
+    )
+    def test_invariants_of_every_grid_verdict(self, theorem_id, bounds):
+        verdicts = run_grid(theorem_id, bounds)
+        assert verdicts
+        for v in verdicts:
+            self.check_invariants(v)
+
+    def test_a_verdict_is_its_json_dict_with_read_only_fields(self):
+        v = run_suite(path(3), ["cor.w2-minus-ns"])[0]
+        assert v.to_json_dict() is v and not v.applicable and v.holds
+        with pytest.raises(AttributeError):
+            v.holds = False
 
     def test_json_shape(self):
         doc = run_suite(cycle(5), ["thm.w2-equivalence"])[0].to_json_dict()
@@ -161,8 +197,8 @@ class TestVerdictText:
             0,
         ]
         for i, witness in enumerate(witnesses):
-            self.same(TheoremVerdict("thm.x-%d" % i, "Bw", True, False, witness, 1e-05 * i))
-        self.same(TheoremVerdict('odd "%s" id', "A_", True, False, {"%d": "%s"}, 3))
+            self.same(failure("thm.x-%d" % i, "Bw", witness, 1e-05 * i))
+        self.same(failure('odd "%s" id', "A_", {"%d": "%s"}, 3.0))
 
     def test_graph_id_with_a_backslash(self):
         g = parse_graph6("EH\\w")
@@ -171,7 +207,7 @@ class TestVerdictText:
         assert all(v.graph_id == "EH\\w" for v in verdicts)
         for v in verdicts:
             self.same(v)
-        self.same(TheoremVerdict("thm.x", "EH\\w", True, False, {"graph": "EH\\w"}, 0.5))
+        self.same(failure("thm.x", "EH\\w", {"graph": "EH\\w"}, 0.5))
 
     def test_records_with_nested_failing_witnesses(self, monkeypatch):
         # every verdict fails with a nested witness, on graph ids that need
@@ -184,35 +220,46 @@ class TestVerdictText:
             "bare string",
         ]
         for i, witness in enumerate(witnesses):
-            harness._theorem("test.fails-%d" % i, lambda ctx: True)(
+            harness._theorem("test.fails-%d" % i)(
                 lambda ctx, witness=witness: (False, witness)
             )
         records = list(survey_catalog(["EH\\w", "Bw", "A_", "@"]))
         assert [len(r["verdicts"]) for r in records] == [4] * 4
         for record in records:
             assert not any(v["holds"] for v in record["verdicts"])
-            assert harness.record_json(record) == json.dumps(record)
+            assert survey.record_json(record) == json.dumps(record)
 
     def test_records_and_summary(self, monkeypatch):
         # a deliberately false statement fills the summary's failures
         monkeypatch.setattr(harness, "GRAPH_THEOREMS", dict(harness.GRAPH_THEOREMS))
 
-        @harness._theorem("test.always-false", lambda ctx: True)
+        @harness._theorem("test.always-false")
         def _always_false(ctx):
             return False, {"reason": "synthetic", "sets": [[0], [1, 2]]}
 
         report = survey_catalog(["EH\\w", "!!", "Bw", "A_"])
+        failures = []
         for record in report:
-            assert harness.record_json(record) == json.dumps(record)
+            failures += record["verdicts"][-1:]
+            assert survey.record_json(record) == json.dumps(record)
         assert len(report.failures) == 3
+        assert report.failures == failures
         grid = [
-            TheoremVerdict("prop.x", "A_", True, False, {"base": "EH\\w"}, 0.25),
-            TheoremVerdict("prop.y", "Bw", True, False, {"p": 2}, 1.0),
+            failure("prop.x", "A_", {"base": "EH\\w"}, 0.25),
+            failure("prop.y", "Bw", {"p": 2}, 1.0),
         ]
         for grid_failures in ([], grid):
-            doc = report.to_json_dict()
-            doc["grid_failures"] = [v.to_json_dict() for v in grid_failures]
-            assert report.summary_json(grid_failures) == json.dumps(doc)
+            expected = {
+                "schema_version": SCHEMA_VERSION,
+                "aggregates": {str(n): agg for n, agg in report.aggregates.items()},
+                "failures": failures,
+                "parse_errors": [{"line": 2, "message": report.parse_errors[0][1]}],
+                "graphs": 3,
+                "elapsed": report.elapsed,
+                "grid_failures": grid_failures,
+            }
+            text = report.summary_json(grid_failures)
+            assert json.loads(text) == expected and text == json.dumps(expected)
 
 
 class TestRunSuite:
@@ -224,7 +271,7 @@ class TestRunSuite:
 
         for n in range(8):
             for g in catalog_by_n[n]:
-                record = harness._survey_one(3, (1, g))
+                record = survey._survey_one(3, (1, g))
                 expected = [v.to_json_dict() for v in run_suite(GraphContext(g))]
                 assert zeroed(record["verdicts"]) == zeroed(expected), write_graph6(g)
 
@@ -330,12 +377,21 @@ class TestSurvey:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_strict_yields_records_before_the_bad_line(self, jobs, monkeypatch):
         # at jobs 2 the pool takes over after the first record
-        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(survey, "POOL_AFTER_S", 0)
         records = []
         with pytest.raises(Graph6Error):
             for record in survey_catalog(["A_", "Bw", "!!", "BW"], strict=True, jobs=jobs):
                 records.append(record)
         assert [r["line"] for r in records] == [1, 2]
+
+    def test_counters_are_final_after_a_strict_parse_error(self):
+        # the orders come out 5, 3; the error ends the stream before it is
+        # exhausted, and the counters are sorted and timed all the same
+        report = survey_catalog(["DQw", "Bw", "!!", "A_"], strict=True)
+        with pytest.raises(Graph6Error):
+            list(report)
+        assert list(report.aggregates) == [3, 5] and report.graphs == 2
+        assert report.elapsed > 0
 
     def test_first_record_before_second_line_is_read(self):
         pulled = []
@@ -361,7 +417,7 @@ class TestSurvey:
         assert [r["line"] for r in report] == [2] and report.graphs == 1
 
     def test_determinism_and_jobs(self, monkeypatch):
-        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(survey, "POOL_AFTER_S", 0)
         lines = [write_graph6(g) for g in cat.all_graphs(5)]
         a = survey_catalog(lines, jobs=1)
         b = survey_catalog(lines, jobs=2)
@@ -370,21 +426,21 @@ class TestSurvey:
 
     def test_hand_off_in_mid_stream_keeps_the_serial_records(self, monkeypatch):
         lines = [write_graph6(g) for g in cat.all_graphs(5)]
-        monkeypatch.setattr(harness, "POOL_AFTER_S", float("inf"))
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        pooled, real = [], harness._pooled
+        monkeypatch.setattr(survey, "POOL_AFTER_S", float("inf"))
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        pooled, real = [], survey._pooled
 
         def spy(*args):
             for record in real(*args):
                 pooled.append(record["line"])
                 yield record
 
-        monkeypatch.setattr(harness, "_pooled", spy)
+        monkeypatch.setattr(survey, "_pooled", spy)
 
         def stream():
             for line_number, line in enumerate(lines, start=1):
                 if line_number == 11:  # hand off once this line's record is out
-                    monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+                    monkeypatch.setattr(survey, "POOL_AFTER_S", 0)
                 yield line
 
         report = survey_catalog(stream(), jobs=2)
@@ -407,8 +463,8 @@ class TestSurvey:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        monkeypatch.setattr(harness, "POOL_AFTER_S", pool_after_s)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(survey, "POOL_AFTER_S", pool_after_s)
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
         serial = []
         with pytest.raises(Graph6Error):
             serial.extend(survey_catalog(lines, strict=True, jobs=1))
@@ -438,7 +494,7 @@ class TestSurvey:
                 return map(func, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
-        monkeypatch.setattr(harness, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(survey, "POOL_AFTER_S", 0)
         lines = [write_graph6(cycle(n)) for n in range(3, 7)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert len(list(survey_catalog(lines, jobs=100_000))) == 4 and sizes == [3]
