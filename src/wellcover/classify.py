@@ -107,7 +107,7 @@ def _memo_alpha(adj, mask: int, memo: dict) -> int:
     return alpha
 
 
-def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
+def _in_w_mask(adj, mask: int, k: int, memo: dict, maximal: list | None = None) -> bool:
     """Level-k membership of the subgraph induced on ``mask``, by the
     deletion characterization.
 
@@ -122,7 +122,7 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict) -> bool:
     if member is not None:
         return member
     if k == 1:
-        member, size = _wc_scan(adj, mask)
+        member, size = _wc_scan(adj, mask, maximal)
         if member:
             memo[mask] = size  # every maximal set is maximum
     else:
@@ -182,27 +182,6 @@ def w_convention_disagreements(g: Graph | GraphContext, k_max: int) -> list[int]
 # ---------------------------------------------------------------------------
 
 
-def is_shedding(g: Graph, v: int) -> bool:
-    """Every independent set of G - N[v] extends by some neighbor of v.
-
-    Quantification is reduced to maximal independent sets of G - N[v]: a
-    neighbor compatible with a maximal set is compatible with its subsets.
-    Isolated vertices are never shedding.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    adj = g.adj
-    nv = adj[v]
-    if nv == 0:
-        return False
-    rest = g.full_mask & ~(nv | (1 << v))
-    neighbor_rows = [adj[u] for u in iter_bits(nv)]
-    for s in _iter_maximal_independent(adj, rest):
-        if not any(row & s == 0 for row in neighbor_rows):
-            return False
-    return True
-
-
 def shedding_vertices(g: Graph | GraphContext) -> int:
     """The shedding vertices as a mask, read from the graph's maximal
     independent sets (``GraphContext.shed``)."""
@@ -234,6 +213,22 @@ def _unshed(adj, maximal) -> int:
             if not adj[v] & once:
                 marked |= 1 << v
     return marked
+
+
+def _shed_by_domination(adj) -> int:
+    """The vertices u != v with N[v] inside N[u], the meet of N[w] over w in
+    N[v] less v, for the first v that has one, as a mask; 0 when none does.
+    Each such u is shedding (Woodroofe, Proc. AMS 137, 2009): an independent
+    S of G - N[u] misses N[v], so S + v is independent."""
+    for row in adj:
+        meet = m = row
+        while m and meet:
+            b = m & -m
+            m ^= b
+            meet &= adj[b.bit_length() - 1] | b
+        if meet:
+            return meet
+    return 0
 
 
 def simplicial_vertices(g: Graph) -> int:
@@ -358,9 +353,10 @@ class GraphContext:
 
     A field is the value of this package's routine for that invariant, so
     readers sharing a context share its work and keep their own semantics.
-    The maximal independent sets are enumerated once (``maximal``): alpha is
-    the largest size among them, seeded into the level memo, Omega is the
-    sets of that size, and ``shed`` is read from them by ``_unshed``.  Omega
+    The maximal independent sets are enumerated once (``maximal``, kept from
+    the level-1 scan of a well-covered graph): alpha is the largest size
+    among them, seeded into the level memo, Omega is the sets of that size,
+    and ``shed`` is read from them by ``_unshed``.  Omega
     is held once: every question about k pairwise disjoint maximum
     independent sets is one ``_omega_packing`` call over it or a subset.
     ``ind`` maps each independent set S, ascending, to N(S), so no reader
@@ -377,8 +373,16 @@ class GraphContext:
         self.w_memo: dict = {}
 
     def in_w(self, k: int, mask: int | None = None) -> bool:
-        """Level-k membership of the graph, or of its subgraph on ``mask``."""
-        return _in_w_mask(self.adj, self.full if mask is None else mask, k, self.w_memo)
+        """Level-k membership of the graph, or of its subgraph on ``mask``.
+        A first level-1 test of the graph that succeeds keeps the maximal
+        sets its scan enumerated, which are all of them, as ``maximal``."""
+        if mask is None:
+            mask = self.full
+            if k == 1 and (mask, 1) not in self.w_memo:
+                sets: list = []
+                if _in_w_mask(self.adj, mask, 1, self.w_memo, sets):
+                    self.maximal = sets
+        return _in_w_mask(self.adj, mask, k, self.w_memo)
 
     def alpha_of(self, mask: int) -> int:
         """Independence number of the subgraph on ``mask``, kept in the same

@@ -258,7 +258,7 @@ def _theorem(theorem_id: str, *hypotheses: str):
 @_theorem("lem.alpha-stability", "nonempty", "well_covered")
 def _chk_alpha_stability(ctx):
     """Deleting a non-isolated vertex of a well-covered graph preserves the
-    independence number.  Hypotheses: nonempty, well-covered."""
+    independence number."""
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
@@ -270,8 +270,7 @@ def _chk_alpha_stability(ctx):
 
 @_theorem("thm.w2-equivalence", "nonempty", "no_isolated")
 def _chk_w2_equivalence(ctx):
-    """The seven characterizations of level-2 membership agree.
-    Hypotheses: nonempty, no isolated vertices."""
+    """The seven characterizations of level-2 membership agree."""
     preds = w2_equivalence_predicates(ctx)
     values = set(preds.values())
     if len(values) == 1:
@@ -282,7 +281,7 @@ def _chk_w2_equivalence(ctx):
 @_theorem("cor.w2-minus-ns", "nonempty", "w2")
 def _chk_w2_minus_ns(ctx):
     """Removing the closed neighborhood of a non-maximum independent set keeps
-    level-2 membership.  Hypotheses: nonempty, in level 2."""
+    level-2 membership."""
     for s, ns in ctx.ind.items():
         if s.bit_count() >= ctx.alpha:
             continue
@@ -295,7 +294,7 @@ def _chk_w2_minus_ns(ctx):
 @_theorem("cor.w2-no-leaf", "nonempty", "w2", "connected", "not_k2")
 def _chk_w2_no_leaf(ctx):
     """A connected level-2 member other than the single edge has minimum
-    degree >= 2.  Hypotheses: connected, in level 2, not the single edge."""
+    degree >= 2."""
     for v in range(ctx.g.n):
         if ctx.adj[v].bit_count() < 2:
             return False, _wit(vertex=v, degree=ctx.adj[v].bit_count())
@@ -304,8 +303,7 @@ def _chk_w2_no_leaf(ctx):
 
 @_theorem("cor.w2-minus-nv", "nonempty", "w2")
 def _chk_w2_minus_nv(ctx):
-    """Removing any closed vertex neighborhood keeps level-2 membership.
-    Hypotheses: nonempty, in level 2."""
+    """Removing any closed vertex neighborhood keeps level-2 membership."""
     for v in range(ctx.g.n):
         mask = ctx.full & ~(ctx.adj[v] | (1 << v))
         if not ctx.in_w(2, mask):
@@ -316,8 +314,7 @@ def _chk_w2_minus_nv(ctx):
 @_theorem("thm.w2-properties", "nonempty", "w2", "connected", "not_k2")
 def _chk_w2_properties(ctx):
     """Structural consequences (order, matching, differential,
-    regularizability) of level-2 membership.  Hypotheses: connected, in
-    level 2, not the single edge."""
+    regularizability) of level-2 membership."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     alpha, omega = ctx.alpha, ctx.omega
 
@@ -368,7 +365,7 @@ def _chk_w2_properties(ctx):
 @_theorem("cor.w2-degree-bound", "nonempty", "w2", "connected")
 def _chk_w2_degree_bound(ctx):
     """Degrees inside an independent set are bounded by its neighborhood
-    slack.  Hypotheses: connected, in level 2."""
+    slack."""
     for s, ns in ctx.ind.items():
         slack = ns.bit_count() - s.bit_count() + 1
         for v in iter_bits(s):
@@ -380,8 +377,7 @@ def _chk_w2_degree_bound(ctx):
 @_theorem("cor.w2-differential-bound", "nonempty", "w2")
 def _chk_w2_differential_bound(ctx):
     """The graph differential is at least n - 2*alpha (and that is at least
-    max degree - 1 when connected).  Hypotheses: in level 2 (second
-    inequality: connected)."""
+    max degree - 1 when connected)."""
     d = ctx.differential
     gap = ctx.g.n - 2 * ctx.alpha
     if d < gap:
@@ -396,7 +392,7 @@ def _chk_w2_differential_bound(ctx):
 @_theorem("thm.shedding-epsilon", "nonempty")
 def _chk_shedding_epsilon(ctx):
     """A vertex is shedding iff deleting it preserves every enlargement
-    strength.  Hypotheses: nonempty.
+    strength.
 
     eps(A) is the largest size of an independent superset of A.  Deleting
     v (not in A) lowers it iff v lies in every largest superset of A, i.e.
@@ -433,7 +429,7 @@ def _chk_shedding_epsilon(ctx):
 @_theorem("cor.shedding-wc", "nonempty", "well_covered")
 def _chk_shedding_wc(ctx):
     """In a well-covered graph a non-isolated vertex is shedding iff its
-    deletion stays well-covered.  Hypotheses: nonempty, well-covered."""
+    deletion stays well-covered."""
     for v in range(ctx.g.n):
         if ctx.adj[v] == 0:
             continue
@@ -446,8 +442,7 @@ def _chk_shedding_wc(ctx):
 def _chk_shedding_four_way(ctx):
     """The shedding characterizations agree for non-isolated vertices of
     well-covered graphs: G - v is well-covered, N(S) covers N(v) for no
-    independent set S of G - N[v], and v is shedding.  Hypotheses: nonempty,
-    well-covered.
+    independent set S of G - N[v], and v is shedding.
 
     The fourth characterization, that v is isolated in G - N[S] for no such
     S, is the second one restated: S misses N[v], so v is isolated there
@@ -473,7 +468,7 @@ def _chk_shedding_four_way(ctx):
 
 @_theorem("prop.simplicial-shed", "nonempty")
 def _chk_simplicial_shed(ctx):
-    """Neighbors of a simplicial vertex are shedding.  Hypotheses: nonempty."""
+    """Neighbors of a simplicial vertex are shedding."""
     shed = ctx.shed
     for v in iter_bits(ctx.simp):
         if ctx.adj[v] & ~shed:
@@ -484,7 +479,7 @@ def _chk_simplicial_shed(ctx):
 @_theorem("cor.simplicial-delete", "nonempty", "well_covered")
 def _chk_simplicial_delete(ctx):
     """Deleting a neighbor of a simplicial vertex keeps a well-covered graph
-    well-covered.  Hypotheses: nonempty, well-covered."""
+    well-covered."""
     for v in iter_bits(ctx.simp):
         for u in iter_bits(ctx.adj[v]):
             if not ctx.in_w(1, ctx.full ^ (1 << u)):
@@ -495,7 +490,7 @@ def _chk_simplicial_delete(ctx):
 @_theorem("thm.simplex-partition", "nonempty")
 def _chk_simplex_partition(ctx):
     """The simplexes partition the vertices iff the graph is simplicial and
-    well-covered.  Hypotheses: nonempty."""
+    well-covered."""
     return _agree(
         partitioned=ctx.simplex_partition is not None,
         simplicial_and_well_covered=is_simplicial_graph(ctx) and ctx.well_covered,
@@ -505,8 +500,7 @@ def _chk_simplex_partition(ctx):
 @_theorem("prop.two-simplicial-w2", "nonempty", "two_simplicial")
 def _chk_two_simplicial_w2(ctx):
     """Simplex-partitioned graphs with two simplicial vertices per simplex are
-    level-2 members.  Hypotheses: simplexes partition the vertices, each with
-    >= 2 simplicial vertices."""
+    level-2 members."""
     if ctx.w2:
         return True, None
     return False, _wit(w2=False)
@@ -515,8 +509,7 @@ def _chk_two_simplicial_w2(ctx):
 @_theorem("thm.w2-five-way", "nonempty", "no_isolated", "well_covered")
 def _chk_w2_five_way(ctx):
     """Five characterizations of level-2 membership for well-covered graphs
-    without isolated vertices.  Hypotheses: nonempty, well-covered, no
-    isolated vertices."""
+    without isolated vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     c4 = True
     for s, ns in ctx.ind.items():
@@ -541,7 +534,7 @@ def _chk_w2_five_way(ctx):
 @_theorem("cor.w2-order-extremal", "nonempty", "w2", "connected")
 def _chk_order_extremal(ctx):
     """Order-extremal and bipartite connected level-2 members are the known
-    ones.  Hypotheses: connected, in level 2."""
+    ones."""
     g = ctx.g
     if g.n == 2 * ctx.alpha and not ctx.is_k2():
         return False, _wit(reason="order 2*alpha without being the single edge")
@@ -555,8 +548,7 @@ def _chk_order_extremal(ctx):
 @_theorem("thm.w2-triangle-free-gab", "nonempty", "no_isolated", "triangle_free")
 def _chk_gab_criterion(ctx):
     """Triangle-free level-2 membership via well-coveredness of all
-    edge-neighborhood deletions.  Hypotheses: nonempty, triangle-free, no
-    isolated vertices."""
+    edge-neighborhood deletions."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     cond = True
     for a, b in g.edges():
@@ -570,8 +562,7 @@ def _chk_gab_criterion(ctx):
 @_theorem("prop.locally-tf-w2", "nonempty", "w2", "locally_triangle_free")
 def _chk_locally_tf_w2(ctx):
     """Locally triangle-free level-2 members with small independence number
-    are complete graphs or cycle complements.  Hypotheses: in level 2,
-    locally triangle-free."""
+    are complete graphs or cycle complements."""
     # For independence number 2 the published claim names a single cycle
     # complement, but the complement of two disjoint 4-cycles (the join of
     # two copies of 2K2) is an 8-vertex member as well; the statement proved
@@ -601,7 +592,7 @@ def _chk_locally_tf_w2(ctx):
 @_theorem("thm.wk-monotonicity", "nonempty")
 def _chk_wk_monotonicity(ctx):
     """Level-k membership forces the k-weighted neighborhood deficiency to be
-    monotone.  Hypotheses: nonempty (levels 1..3 probed)."""
+    monotone (levels 1..3 probed)."""
     for k, member in enumerate(ctx.w_levels[:3], start=1):
         if member:
             ok, wit = check_wk_monotonicity(ctx, k)
@@ -612,8 +603,7 @@ def _chk_wk_monotonicity(ctx):
 
 @_theorem("thm.wk-chain")
 def _chk_wk_chain(ctx):
-    """Hierarchy levels are nested.  Hypotheses: none (levels up to 4
-    probed)."""
+    """Hierarchy levels are nested (levels up to 4 probed)."""
     levels = ctx.w_levels
     for k in range(2, len(levels) + 1):
         if levels[k - 1] and not levels[k - 2]:
@@ -624,7 +614,7 @@ def _chk_wk_chain(ctx):
 @_theorem("thm.berge-maximum", "nonempty")
 def _chk_berge(ctx):
     """An independent set is maximum iff every disjoint independent set
-    matches into it.  Hypotheses: nonempty.
+    matches into it.
 
     By Hall's condition, every disjoint independent set matches into S iff
     every disjoint independent B has |N(B) & S| >= |B|: the subsets of an
@@ -647,22 +637,20 @@ def _chk_berge(ctx):
 )
 def _chk_girth6_corona(ctx):
     """Connected well-covered graphs of girth >= 6 are pendant coronas (known
-    exceptions aside).  Hypotheses: connected, girth >= 6, not the 7-cycle,
-    more than one vertex."""
+    exceptions aside)."""
     return _agree(well_covered=ctx.well_covered, pendant_corona=ctx.clique_corona(1))
 
 
 @_theorem("thm.girth5-vwc-corona", "nonempty", "connected", "girth_5")
 def _chk_girth5_corona(ctx):
-    """Connected very well-covered graphs of girth >= 5 are pendant coronas.
-    Hypotheses: connected, girth >= 5."""
+    """Connected very well-covered graphs of girth >= 5 are pendant coronas."""
     return _agree(very_well_covered=ctx.very_well_covered, pendant_corona=ctx.clique_corona(1))
 
 
 @_theorem("thm.hartnell-c4free", "nonempty", "connected", "no_c4")
 def _chk_hartnell(ctx):
     """Connected graphs without 4-cycles in level 2 are the single edge, the
-    5-cycle, or an edge corona.  Hypotheses: connected, no 4-cycle."""
+    5-cycle, or an edge corona."""
     return _agree(
         w2=ctx.w2,
         k2_c5_or_edge_corona=ctx.is_k2() or ctx.is_cycle_of(5) or ctx.clique_corona(2),

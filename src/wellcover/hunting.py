@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, GraphContext, is_shedding
+from .classify import HUNT_TARGET_IDS, SCHEMA_VERSION, GraphContext, _shed_by_domination
 from .graph import Graph, Graph6Error, is_connected, parse_graph6, write_graph6
 
 
@@ -64,11 +64,12 @@ def _concatenation_sweep(parts, base_max_n: int, k: int):
 
 
 # the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
-# order, on a graph's context; the no-shedding census stops at the first
-# shedding vertex
+# order, on a graph's context; the no-shedding census first rejects a graph
+# with an edge uv where N[v] is inside N[u], as u is then shedding
 _HUNT_PREDICATES = {
-    "problem.no-shedding": lambda ctx: ctx.well_covered
-    and not any(is_shedding(ctx.g, v) for v in range(ctx.g.n)),
+    "problem.no-shedding": lambda ctx: not _shed_by_domination(ctx.adj)
+    and ctx.well_covered
+    and not ctx.shed,
     "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
     and ctx.girth <= 5
     and ctx.disjoint_mis_max(2) == 2,

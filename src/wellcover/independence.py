@@ -61,14 +61,15 @@ def _iter_maximal_independent(adj, mask: int):
             x |= b
 
 
-def _wc_scan(adj, mask: int):
+def _wc_scan(adj, mask: int, maximal: list | None = None):
     """(well_covered, common size or None) of the subgraph induced on
     ``mask``.
 
     First n + 1 greedy maximal independent sets (each vertex, then the
     lowest free vertex; and one taking the highest free vertex first): two of
     different sizes settle it.  Otherwise the maximal independent sets are
-    enumerated up to the first of a different size.
+    enumerated up to the first of a different size, each appended to
+    ``maximal`` when a list is given: on success, all of them.
     """
     size = None
     m = mask
@@ -96,6 +97,8 @@ def _wc_scan(adj, mask: int):
     for s in _iter_maximal_independent(adj, mask):
         if s.bit_count() != c:
             return False, None
+        if maximal is not None:
+            maximal.append(s)
     return True, c
 
 

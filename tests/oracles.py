@@ -8,7 +8,8 @@ level-k definition's families with pruning, reading Ind(G) and Omega from a
 against ``w_member_by_families``, which finds every set by subset tests.
 ``differential_by_frontier_dp`` and ``two_disjoint_completions_by_packing``
 are the library's earlier routines, kept without the cuts that replaced
-them."""
+them, and ``is_shedding`` is its earlier one-vertex shedding test, which
+enumerates the maximal independent sets of G - N[v]."""
 
 from itertools import permutations, product
 
@@ -237,6 +238,27 @@ def well_covered_without_shedding_by_subsets(g: Graph) -> bool:
             if not s & ~rest
         ):
             return False  # v is shedding
+    return True
+
+
+def is_shedding(g: Graph, v: int) -> bool:
+    """Every independent set of G - N[v] extends by some neighbor of v.
+
+    Quantification is reduced to maximal independent sets of G - N[v]: a
+    neighbor compatible with a maximal set is compatible with its subsets.
+    Isolated vertices are never shedding.
+    """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    adj = g.adj
+    nv = adj[v]
+    if nv == 0:
+        return False
+    rest = g.full_mask & ~(nv | (1 << v))
+    neighbor_rows = [adj[u] for u in iter_bits(nv)]
+    for s in _iter_maximal_independent(adj, rest):
+        if not any(row & s == 0 for row in neighbor_rows):
+            return False
     return True
 
 

@@ -14,7 +14,6 @@ from wellcover import catalog as cat
 from wellcover.classify import (
     is_in_w,
     is_one_well_covered,
-    is_shedding,
     is_very_well_covered,
     is_well_covered,
     shedding_vertices,

@@ -29,7 +29,6 @@ from wellcover.classify import (
     is_one_well_covered,
     is_quasi_regularizable,
     is_regularizable,
-    is_shedding,
     is_simplicial_graph,
     is_very_well_covered,
     is_well_covered,
@@ -46,6 +45,7 @@ from oracles import (
     _is_corona_of,
     is_in_w_generic,
     is_independent,
+    is_shedding,
     maximum_independent_sets_by_subsets,
     regularizability_by_subsets,
     w_member_by_families,
@@ -194,6 +194,81 @@ class TestShedding:
             for g in catalog_by_n[n]:
                 for v in range(g.n):
                     assert is_shedding(g, v) == naive_is_shedding(g, v)
+
+
+class TestSheddingByDomination:
+    """A vertex u with a neighbor v such that N[v] is inside N[u] is
+    shedding; ``_shed_by_domination`` finds such an edge."""
+
+    @staticmethod
+    def check(g):
+        marked = classify._shed_by_domination(g.adj)
+        dominating = [
+            sum(1 << u for u in iter_bits(g.adj[v]) if not g.adj[v] & ~(g.adj[u] | 1 << u))
+            for v in range(g.n)
+        ]
+        assert marked == next(filter(None, dominating), 0), g.adj
+        rule = 0
+        for mask in dominating:
+            rule |= mask
+        assert all(is_shedding(g, u) for u in iter_bits(rule)), g.adj
+
+    def test_catalog_to_order_eight(self):
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                self.check(g)
+
+    def test_random_graphs_of_order_nine_to_fourteen(self):
+        for g in relabelled_random_graphs(27, 200, 9, 14):
+            self.check(g)
+
+    def test_small_cases(self):
+        assert classify._shed_by_domination(empty_graph(3).adj) == 0
+        assert classify._shed_by_domination(complete(3).adj) == mask_of([1, 2])
+        # in P4 the leaf 0 is dominated by vertex 1; C4 and C5 have no
+        # dominated vertex, though every vertex of C5 is shedding
+        assert classify._shed_by_domination(path(4).adj) == mask_of([1])
+        assert classify._shed_by_domination(cycle(4).adj) == 0
+        assert classify._shed_by_domination(cycle(5).adj) == 0
+
+
+class TestSharedEnumeration:
+    """A successful level-1 test of the whole graph keeps the maximal sets
+    its scan enumerated as the context's ``maximal``."""
+
+    @staticmethod
+    def check(g):
+        ctx = GraphContext(g)
+        if ctx.in_w(1):
+            assert ctx.__dict__["maximal"] == list(
+                classify._iter_maximal_independent(g.adj, g.full_mask)
+            ), g.adj
+        else:
+            assert "maximal" not in ctx.__dict__, g.adj
+        return ctx
+
+    def test_catalog_to_order_seven(self, catalog_by_n):
+        graphs = [g for graphs_n in catalog_by_n.values() for g in graphs_n]
+        kept = sum("maximal" in self.check(g).__dict__ for g in graphs)
+        assert kept == sum(map(is_well_covered, graphs))
+
+    def test_corona(self):
+        ctx = self.check(corona_uniform(cycle(5), complete(2)))
+        assert "maximal" in ctx.__dict__
+
+    def test_failed_scan_keeps_no_partial_list(self, monkeypatch):
+        # this graph passes the greedy pass, so the scan enumerates two
+        # maximal sets before it meets one of another size
+        edges = [(0, 1), (1, 3), (2, 5), (2, 6), (3, 4), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7)]
+        g = Graph(8, edges)
+        seen = []
+        scan = classify._wc_scan
+        monkeypatch.setattr(
+            classify, "_wc_scan", lambda adj, mask, sets: seen.append(sets) or scan(adj, mask, sets)
+        )
+        ctx = self.check(g)
+        assert not ctx.well_covered and len(seen[0]) == 2
+        assert ctx.maximal == list(classify._iter_maximal_independent(g.adj, g.full_mask))
 
 
 class TestOneListOfMaximalSets:

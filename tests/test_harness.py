@@ -535,19 +535,26 @@ class TestSharedContext:
 
     def test_report_enumerates_omega_once(self, monkeypatch):
         # Omega, alpha and the shedding vertices all read the context's one
-        # list of maximal independent sets
-        from wellcover import classify
+        # list of maximal independent sets; in a well-covered graph it is
+        # the list the level-1 scan enumerated
+        from wellcover import classify, independence
 
         calls = []
         enumerate_maximal = classify._iter_maximal_independent
-        monkeypatch.setattr(
-            classify,
-            "_iter_maximal_independent",
-            lambda adj, mask: calls.append(mask) or enumerate_maximal(adj, mask),
-        )
+        for module in (classify, independence):
+            monkeypatch.setattr(
+                module,
+                "_iter_maximal_independent",
+                lambda adj, mask: calls.append(mask) or enumerate_maximal(adj, mask),
+            )
         rep = class_report(cycle(22), 3)
         assert rep.disjoint_mis_max == 2 and rep.alpha == 11 and rep.shed == 0
         assert calls == [cycle(22).full_mask]
+        calls.clear()
+        g = corona_uniform(cycle(5), complete(2))
+        rep = class_report(g, 3)
+        assert rep.w_level == 2 and rep.alpha == 5 and rep.shed == g.full_mask
+        assert calls.count(g.full_mask) == 1
 
     def test_suite_computes_girth_once_per_graph(self, monkeypatch, connected_by_n):
         from wellcover import classify, graph, harness
@@ -710,7 +717,8 @@ class TestHunt:
         assert cat.certificate(cycle(7).adj) in found
 
     def test_no_shedding_census_matches_the_oracle(self):
-        # the census stops at a graph's first shedding vertex; the oracle
+        # the census rejects by the domination rule, then reads shedding
+        # from the maximal sets of its well-coveredness scan; the oracle
         # reads well-coveredness and shedding from their definitions
         report = hunt(HuntTarget("problem.no-shedding", max_n=7))
         assert report.summary == {"found": 19, "found_connected": 8, "checked": 1252}
@@ -720,6 +728,10 @@ class TestHunt:
         assert [e["graph"] for e in report.entries] == [
             write_graph6(Graph._raw(len(adj), adj)) for adj in cat.canonical_forms(accepted)
         ]
+
+    def test_no_shedding_census_to_order_eight(self):
+        report = hunt(HuntTarget("problem.no-shedding", max_n=8))
+        assert report.summary == {"found": 38, "found_connected": 18, "checked": 13598}
 
     def test_no_shedding_from_stream(self):
         report = hunt(
