@@ -9,24 +9,23 @@ represented by its canonical form, the relabeled adjacency that
 canonical forms and does not depend on which child reached a class first.
 The certificate is computed by color refinement plus individualization with
 interchangeable-vertex skipping, which stays fast on the symmetric graphs
-that defeat naive permutation schemes.  The refinement splits one cell (the
-vertices of one color) at a time, so a singleton cell costs nothing and a
-cell whose members agree keeps its rank without being reordered.
+that defeat naive permutation schemes.
 
-Generated catalogs are cached in memory and, optionally, on disk (graph6
-lines, with their CRC-32 checksum in a ``.crc32`` file beside them) under
-``$WELLCOVER_CACHE_DIR`` or the XDG cache directory; set
-``WELLCOVER_CACHE_DIR=off`` to disable the disk layer.  Generation is
-deterministic, so the cache is a pure memo; a disk level with a line that is
-not the graph6 line of a graph of its order, whose checksum is missing or
-wrong, or whose size differs from its known count, is regenerated and
-rewritten.
+A level is read as a stream from a file of graph6 lines, with their CRC-32
+checksum in a ``.crc32`` file beside it, under ``$WELLCOVER_CACHE_DIR`` or
+the XDG cache directory (``WELLCOVER_CACHE_DIR=off`` disables the disk
+layer); only a level that is generated, or read as generation parents, is
+kept in memory.  Generation is deterministic, so the cache is a pure memo; a
+disk level with a line that is not the graph6 line of a graph of its order,
+whose checksum is missing or wrong, or whose size differs from its known
+count, is regenerated and rewritten.
 """
 
 from __future__ import annotations
 
 import binascii
 import os
+from itertools import chain
 
 from .graph import (
     Graph,
@@ -38,11 +37,12 @@ from .graph import (
 )
 
 _CACHE_VERSION = 2
+# the levels this process generated or read whole (``_level_adj``)
 _mem_cache: dict[int, list[tuple[int, ...]]] = {}
 
 # Largest order a hunt searches, and the largest order of a ``catalog:`` stream.
-# The catalog generates and caches every graph up to that order in memory:
-# 12,005,168 graphs of order 10 alone, and about 10^9 of order 11.
+# Generating a level holds it and the level below in memory: 12,005,168
+# graphs of order 10 alone, and about 10^9 of order 11.
 # Deduplication (``certificate``) has no cap of its own.
 HUNT_MAX_N = 10
 
@@ -200,21 +200,16 @@ def canonical_forms(adjs) -> list[tuple[int, ...]]:
 
 def _level_adj(n: int) -> list[tuple[int, ...]]:
     """Every graph on n vertices, one canonical form per isomorphism class in
-    certificate order: from memory, else from disk, else generated by
-    minimum-degree augmentation of level n - 1 and stored.
-
-    A level with a known count (``KNOWN_GRAPH_COUNTS``) is checked on disk
-    load as well as after generation; a disk level of the wrong size, or
-    whose checksum is missing or wrong, is regenerated and rewritten.
-    """
+    certificate order, kept in memory for random access: from memory, else
+    read whole from disk, else generated by minimum-degree augmentation of
+    level n - 1, checked against its known count and stored."""
     if n < 0:
         raise ValueError("n must be non-negative")
     level = _mem_cache.get(n)
     if level is not None:
         return level
-    expected = KNOWN_GRAPH_COUNTS[n] if n < len(KNOWN_GRAPH_COUNTS) else None
-    level = _disk_load(n)
-    if level is None or (expected is not None and len(level) != expected):
+    level = list(_disk_rows(n))
+    if not level:
         if n == 0:
             level = [()]
         else:
@@ -223,9 +218,10 @@ def _level_adj(n: int) -> list[tuple[int, ...]]:
                 for padj in _level_adj(n - 1)
                 for cadj in _children(padj, _neighborhoods(padj))
             )
-        if expected is not None and len(level) != expected:
+        if KNOWN_GRAPH_COUNTS[n : n + 1] not in ([], [len(level)]):
             raise AssertionError(
-                f"generated {len(level)} graphs on {n} vertices, expected {expected}"
+                f"generated {len(level)} graphs on {n} vertices, "
+                f"expected {KNOWN_GRAPH_COUNTS[n]}"
             )
         _disk_store(n, level)
     _mem_cache[n] = level
@@ -268,8 +264,11 @@ def _neighborhoods(padj: tuple[int, ...]):
 
 
 def all_graphs(n: int, connected: bool = False):
-    """All graphs on exactly n vertices, one per isomorphism class."""
-    for adj in _level_adj(n):
+    """All graphs on exactly n vertices, one per isomorphism class in certificate
+    order: the level held in memory, else its file streamed, else generated."""
+    rows = iter(_mem_cache.get(n) or _disk_rows(n))
+    first = next(rows, None)
+    for adj in _level_adj(n) if first is None else chain([first], rows):
         g = Graph._raw(n, adj)
         if not connected or is_connected(g):
             yield g
@@ -315,30 +314,47 @@ def _checksum(crc: int) -> bytes:
     return b"%08x\n" % crc
 
 
-def _disk_load(n: int) -> list[tuple[int, ...]] | None:
-    """The cached level, or None when it is absent, unreadable, holds a
-    line that is not the graph6 line of a graph of its order, or its
-    checksum file is missing or does not match."""
+# maps each byte of the graph6 range (63-126) to b"b" and keeps any other byte
+_BYTE_CLASS = bytes(98 if 63 <= b <= 126 else b for b in range(256))
+
+
+def _disk_rows(n: int):
+    """The rows of cached level n, decoded as its file is read; none at all
+    when the file is absent or unreadable, has a line that is not the graph6
+    line of a graph of order n, a count not the known one, or a checksum
+    file missing or not matching.  A first pass checks the whole file, so
+    the second cannot fail halfway, and a rewrite in between is not seen."""
     path = _cache_path(n)
     if path is None:
-        return None
+        return
     size = (n * (n - 1) // 2 + 5) // 6 + 2  # order byte, body and newline
-    head = n + 63  # the short-form order byte
+    pad = 6 * size - 12 - n * (n - 1) // 2  # the last body byte's zero low bits
+    last = bytes(range(63, 127, 1 << pad))  # the values that byte may take
     try:
-        crc, level = 0, []
-        with open(path, "rb") as fh:
-            for line in fh:  # line by line, so the file is never held whole
-                crc = binascii.crc32(line, crc)
-                if len(line) != size or line[0] != head or line[-1] != 10:
-                    return None
-                # the decoder rejects a byte out of range and padding bits
-                level.append(decode_graph6_body(n, line[1:-1]))
-        with open(_checksum_path(path), "rb") as fh:
-            if fh.read() != _checksum(crc):
-                return None
-        return level
-    except (OSError, ValueError):
-        return None
+        fh = open(path, "rb")
+    except OSError:
+        return
+    with fh:
+        try:
+            crc = count = 0
+            while block := fh.read(size << 12):  # 4,096 lines a block
+                lines = len(block) // size
+                crc, count = binascii.crc32(block, crc), count + lines
+                if (
+                    block.translate(_BYTE_CLASS) != (b"b" * (size - 1) + b"\n") * lines
+                    or block[::size] != bytes([n + 63]) * lines  # the order byte
+                    or block[size - 2 :: size].translate(None, last)
+                ):
+                    return
+            with open(_checksum_path(path), "rb") as cf:
+                intact = cf.read() == _checksum(crc)
+            if not intact or KNOWN_GRAPH_COUNTS[n : n + 1] not in ([], [count]):  # [] if unknown
+                return
+        except OSError:
+            return
+        fh.seek(0)
+        for line in fh:
+            yield decode_graph6_body(n, line[1:-1])
 
 
 def _disk_store(n: int, level: list[tuple[int, ...]]):

@@ -282,15 +282,8 @@ def cmd_verify(args) -> int:
 def cmd_hunt(args) -> int:
     from .hunting import HuntTarget, hunt
 
-    target = HuntTarget(
-        target_id=args.target,
-        max_n=args.max_n,
-        k=args.k,
-        base_max_n=args.base_max_n,
-    )
-    source = None
-    if args.input or args.source:
-        source = iter_source_lines(args.source, args.input)
+    target = HuntTarget(args.target, args.max_n, args.k, args.base_max_n)
+    source = iter_source_lines(args.source, args.input) if args.input or args.source else None
     report = hunt(target, source=source, connected_only=args.connected)
     with _out_stream(args) as out:
         if args.format == "json":

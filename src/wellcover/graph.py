@@ -120,11 +120,8 @@ class _ByteTable(dict):
     filled on first use: the entry of byte value b is the packed n x n
     adjacency with bits i*n + j and j*n + i set for each edge ij that the
     six bits b - 63 encode.  Entries of different bytes of a body share no
-    bit, so the sum of a body's entries is their OR.
-
-    A value outside the graph6 range, or a last byte with nonzero padding
-    bits, has no entry: looking it up raises ``Graph6Error``.
-    """
+    bit, so the sum of a body's entries is their OR.  Callers check the
+    byte range and the padding bits first."""
 
     __slots__ = ("n", "c")
 
@@ -134,16 +131,12 @@ class _ByteTable(dict):
 
     def __missing__(self, b: int) -> int:
         n, c = self.n, self.c
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"body byte {c} out of graph6 range: {b}")
         # the byte's first bit, 6c, is the pair (i, j) with 6c = j(j-1)/2 + i
         j = (1 + math.isqrt(48 * c + 1)) // 2
         i = 6 * c - j * (j - 1) // 2
         bits, packed = b - 63, 0
         for bit in (32, 16, 8, 4, 2, 1):  # MSB first
             if bits & bit:
-                if j >= n:
-                    raise Graph6Error(f"nonzero padding bits in body byte {c}")
                 packed |= 1 << (i * n + j) | 1 << (j * n + i)
             i += 1
             if i == j:
@@ -168,8 +161,8 @@ def _tables(n: int) -> tuple:
 def decode_graph6_body(n: int, body: bytes) -> tuple[int, ...]:
     """The adjacency rows of the order-n graph whose graph6 body (the bytes
     after the order field) is ``body``, which must hold exactly the body's
-    bytes: one table entry per byte, then one shift per row.  A byte out of
-    range or nonzero padding raises ``Graph6Error``."""
+    bytes, each in range, and no padding bits: one table entry per byte,
+    then one shift per row."""
     byte_tables, shifts, mask = _TABLES.get(n) or _tables(n)
     packed = sum(map(getitem, byte_tables, body))
     return tuple([packed >> s & mask for s in shifts])

@@ -63,20 +63,21 @@ def _concatenation_sweep(parts, base_max_n: int, k: int):
                 yield base, v, hctx, GraphContext(concatenate(base, h, v))
 
 
-# the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its
-# order, on a graph's context; the no-shedding census first rejects a graph
-# with an edge uv where N[v] is inside N[u], as u is then shedding
+# the census predicate of each problem target of ``HUNT_TARGET_IDS``, in its order,
+# on a graph; the no-shedding census rejects a graph with an edge uv where N[v] is
+# inside N[u], as u is then shedding, before it builds the graph's context
 _HUNT_PREDICATES = {
-    "problem.no-shedding": lambda ctx: not _shed_by_domination(ctx.adj)
-    and ctx.well_covered
+    "problem.no-shedding": lambda g: not _shed_by_domination(g.adj)
+    and (ctx := GraphContext(g)).well_covered
     and not ctx.shed,
-    "problem.two-disjoint-mis-girth5": lambda ctx: ctx.well_covered
+    "problem.two-disjoint-mis-girth5": lambda g: (ctx := GraphContext(g)).well_covered
     and ctx.girth <= 5
     and ctx.disjoint_mis_max(2) == 2,
-    "problem.w2-alpha2": lambda ctx: ctx.connected and ctx.alpha == 2 and ctx.in_w(2),
-    "problem.alpha-plus-mu": lambda ctx: ctx.connected
+    "problem.w2-alpha2": lambda g: (ctx := GraphContext(g)).connected
+    and ctx.alpha == 2 and ctx.in_w(2),
+    "problem.alpha-plus-mu": lambda g: (ctx := GraphContext(g)).connected
     and ctx.in_w(2)
-    and ctx.alpha + ctx.mu == ctx.g.n - 1,
+    and ctx.alpha + ctx.mu == g.n - 1,
 }
 
 
@@ -151,9 +152,8 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
     if source is None:
         graphs = cat.graphs_up_to(target.max_n, connected=connected_only)
     else:
-        graphs = (
-            g for _, g in _read_graphs(source, connected_only, None) if g.n <= target.max_n
-        )
+        graphs = (g for _, g in _read_graphs(source, connected_only, None)
+                  if g.n <= target.max_n)
 
     if target.target_id == "conjecture.wk-concat":
         for base, v, hctx, ctx in _concatenation_sweep(graphs, target.base_max_n, target.k):
@@ -167,16 +167,14 @@ def hunt(target: HuntTarget, source=None, connected_only: bool = False) -> HuntR
                         "concatenation": write_graph6(ctx.g),
                     }
                 )
-        report.summary = {
-            "counterexamples": len(report.counterexamples),
-            "checked": report.checked,
-        }
+        report.summary = {"counterexamples": len(report.counterexamples),
+                          "checked": report.checked}
     else:
         predicate = _HUNT_PREDICATES[target.target_id]
         hits = []
         for g in graphs:
             report.checked += 1
-            if g.n >= 1 and predicate(GraphContext(g)):
+            if g.n >= 1 and predicate(g):
                 hits.append(g.adj)
         for adj in cat.canonical_forms(hits):
             g = Graph._raw(len(adj), adj)

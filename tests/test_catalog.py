@@ -1,6 +1,7 @@
 import os
 import random
 import zlib
+from itertools import zip_longest
 from pathlib import Path
 
 import networkx as nx
@@ -224,7 +225,7 @@ class TestDiskCache:
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         level = cat._level_adj(4)
         cat._disk_store(4, level)
-        loaded = cat._disk_load(4)
+        loaded = list(cat._disk_rows(4))
         assert loaded == level
 
     def test_truncated_level_is_regenerated(self, tmp_path, monkeypatch):
@@ -330,7 +331,7 @@ class TestDiskCache:
         data = b"".join(lines[:5] + lines[6:]) + damage(lines[5])
         path.write_bytes(data)
         path.with_suffix(".crc32").write_bytes(b"%08x\n" % zlib.crc32(data))
-        assert cat._disk_load(6) is None
+        assert list(cat._disk_rows(6)) == []
         monkeypatch.setattr(cat, "_mem_cache", {})
         assert cat._level_adj(6) == level
         assert path.read_bytes() == good  # rewritten
@@ -351,6 +352,95 @@ class TestDiskCache:
     def test_cache_off(self, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
         assert cat._cache_dir() is None
+
+
+def _edit_lines(edit):
+    """A damage to a level file: ``edit`` maps its list of lines to the new
+    list, and the checksum file is rewritten to match."""
+
+    def damage(path: Path):
+        data = b"".join(edit(path.read_bytes().splitlines(keepends=True)))
+        path.write_bytes(data)
+        path.with_suffix(".crc32").write_bytes(b"%08x\n" % zlib.crc32(data))
+
+    return damage
+
+
+class TestLevelStream:
+    """``_disk_rows`` checks a level file whole, then decodes it a line at a
+    time from the same open file; ``all_graphs`` streams it."""
+
+    def test_stream_equals_the_level(self, tmp_path, monkeypatch):
+        # the rows are compared one at a time, so order 9 is not held twice
+        levels = [cat._level_adj(n) for n in range(10)]
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        for n, level in enumerate(levels):
+            cat._disk_store(n, level)
+            assert all(a == b for a, b in zip_longest(cat._disk_rows(n), level)), n
+
+    # damage to one line is in TestDiskCache.test_malformed_line_is_regenerated
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.with_suffix(".crc32").write_bytes(b"00000000\n"),
+            lambda p: p.with_suffix(".crc32").unlink(),
+            _edit_lines(lambda lines: lines[:-1]),
+            # one line a byte short and the next a byte long: the size is kept
+            _edit_lines(
+                lambda ls: ls[:5] + [ls[5][:-2] + b"\n", ls[6][:-1] + b"?\n"] + ls[7:]
+            ),
+        ],
+        ids=["checksum", "no-checksum", "count", "short-then-long"],
+    )
+    def test_damaged_level_yields_nothing_and_is_rewritten(self, tmp_path, monkeypatch, damage):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        level = cat._level_adj(6)
+        path = Path(cat._cache_path(6))
+        good = path.read_bytes()
+        damage(path)
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert list(cat._disk_rows(6)) == []
+        assert [g.adj for g in cat.all_graphs(6)] == level
+        assert path.read_bytes() == good  # rewritten
+        assert path.with_suffix(".crc32").read_bytes() == b"%08x\n" % zlib.crc32(good)
+
+    def test_level_replaced_between_the_passes_is_read_whole(self, tmp_path, monkeypatch):
+        level = cat._level_adj(8)
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path / "other"))
+        cat._disk_store(8, level[::-1])  # another intact level file
+        other = Path(cat._cache_path(8))
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path / "level"))
+        cat._disk_store(8, level)
+        path = Path(cat._cache_path(8))
+        checksum = cat._checksum
+
+        def replace_then_checksum(crc):
+            # called once the first pass has read the whole file
+            os.replace(other, path)
+            os.replace(other.with_suffix(".crc32"), path.with_suffix(".crc32"))
+            return checksum(crc)
+
+        monkeypatch.setattr(cat, "_checksum", replace_then_checksum)
+        assert list(cat._disk_rows(8)) == level
+        monkeypatch.setattr(cat, "_checksum", checksum)
+        assert list(cat._disk_rows(8)) == level[::-1]
+
+    def test_warm_reads_keep_no_level(self, tmp_path, monkeypatch):
+        levels = [cat._level_adj(n) for n in range(9)]
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        for n, level in enumerate(levels):
+            cat._disk_store(n, level)
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert sum(1 for _ in cat.graphs_up_to(8)) == sum(cat.KNOWN_GRAPH_COUNTS[1:9])
+        assert cat._mem_cache == {}
+
+    def test_reads_work_with_the_cache_off(self, monkeypatch):
+        monkeypatch.setenv("WELLCOVER_CACHE_DIR", "off")
+        monkeypatch.setattr(cat, "_mem_cache", {})
+        assert list(cat._disk_rows(5)) == []
+        assert [len(list(cat.all_graphs(n))) for n in range(7)] == cat.KNOWN_GRAPH_COUNTS[:7]
+        assert sorted(cat._mem_cache) == list(range(7))  # generated, so kept
 
 
 class TestAtlasAgreement:

@@ -123,16 +123,20 @@ class TestGraph6Decoder:
                 assert g == parse_graph6_by_scan(line) and g.adj == adj
 
     def test_disk_levels_match_the_scan(self, tmp_path, monkeypatch, girth_levels):
-        # the catalog's loader checks each line on bytes and decodes it
-        # without parse_graph6; the girth levels reach order 10
+        # the catalog's reader checks each line on bytes and decodes it
+        # without parse_graph6; the girth levels reach order 10, and each is
+        # read as a level of its own count
         levels = [cat._level_adj(n) for n in range(9)]
         levels += [level for g in (4, 5, 6) for level in girth_levels[g]]
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
         for level in levels:
             n = len(level[0])
+            counts = list(cat.KNOWN_GRAPH_COUNTS)
+            counts[n] = len(level)
+            monkeypatch.setattr(cat, "KNOWN_GRAPH_COUNTS", counts)
             cat._disk_store(n, level)
             lines = Path(cat._cache_path(n)).read_text().splitlines()
-            assert cat._disk_load(n) == [parse_graph6_by_scan(line).adj for line in lines]
+            assert list(cat._disk_rows(n)) == [parse_graph6_by_scan(line).adj for line in lines]
 
     @given(graphs(max_n=70))
     @example(Graph(70, [(0, 1), (5, 69), (68, 69)]))  # the '~' long form

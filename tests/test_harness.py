@@ -5,8 +5,8 @@ import random
 import pytest
 
 from wellcover import catalog as cat
-from wellcover import harness, survey
-from wellcover.classify import SCHEMA_VERSION, class_report, is_in_w
+from wellcover import harness, hunting, survey
+from wellcover.classify import SCHEMA_VERSION, _shed_by_domination, class_report, is_in_w
 from wellcover.constructions import concatenate, corona_uniform
 from wellcover.graph import (
     Graph,
@@ -728,6 +728,20 @@ class TestHunt:
         assert [e["graph"] for e in report.entries] == [
             write_graph6(Graph._raw(len(adj), adj)) for adj in cat.canonical_forms(accepted)
         ]
+
+    def test_no_shedding_census_builds_contexts_past_the_domination_rule(self, monkeypatch):
+        # a graph with an edge uv where N[v] is inside N[u] is rejected from
+        # its adjacency alone
+        built = []
+
+        class Counting(GraphContext):
+            def __init__(self, g):
+                built.append(g.adj)
+                super().__init__(g)
+
+        monkeypatch.setattr(hunting, "GraphContext", Counting)
+        hunt(HuntTarget("problem.no-shedding", max_n=7))
+        assert built == [g.adj for g in cat.graphs_up_to(7) if not _shed_by_domination(g.adj)]
 
     def test_no_shedding_census_to_order_eight(self):
         report = hunt(HuntTarget("problem.no-shedding", max_n=8))
