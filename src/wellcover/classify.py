@@ -11,14 +11,16 @@ the empty sets of a family are replaced by singletons of uncovered vertices,
 or else the family refines into k nonempty parts partitioning V that could
 extend only if alpha = 1.
 
-Levels are decided by the vertex-deletion characterization of Staples ("On
-some subclasses of well-covered graphs", J. Graph Theory 3, 1979): level 1
-is well-coveredness, and for k >= 2 a graph is a level-k member iff, for
-every vertex v, alpha(G - v) = alpha(G) and G - v is a level-(k-1) member.
-The recursion runs on vertex masks of one adjacency and is memoized on
-(mask, k); it is the package's one level-k routine.  The harness checks the
-definition itself only at level 2, in ``thm.w2-equivalence``, and the tests
-check the recursion against enumerations of disjoint families.
+Level 1 is well-coveredness.  Level 2 follows from the paper's results: W_2
+is the 1-well-covered graphs without isolated vertices, and in a
+well-covered graph G - v is well-covered iff v is shedding or isolated, so a
+member is well-covered with no isolated vertex and every vertex shedding.
+Levels k >= 3 follow Staples' deletion characterization ("On some subclasses
+of well-covered graphs", J. Graph Theory 3, 1979): alpha(G - v) = alpha(G)
+and G - v is a level-(k-1) member for every vertex v.  ``_in_w_mask``, the
+package's one level-k routine, runs on vertex masks memoized on (mask, k);
+the tests check it against Staples' recursion and against enumerations of
+disjoint families.
 
 ``GraphContext`` holds the per-graph invariants (the graph6 id, the maximal
 independent sets, alpha, the independent sets with their open neighborhoods,
@@ -52,8 +54,8 @@ from .independence import (
     _alpha,
     _independent_sets,
     _iter_maximal_independent,
-    _nbhd,
     _omega_packing,
+    _saturating_matching,
     _wc_scan,
     differential_of_graph,
     maximum_matching_size,
@@ -93,11 +95,11 @@ def is_very_well_covered(g: Graph | GraphContext) -> bool:
 
 def is_one_well_covered(g: Graph | GraphContext) -> bool:
     """Well-covered with >= 2 vertices, staying well-covered after deleting
-    any one vertex."""
+    any one vertex: so every vertex that is not isolated is shedding."""
     ctx = _context(g)
     if ctx.g.n < 2 or not ctx.in_w(1):
         return False
-    return all(ctx.in_w(1, ctx.full ^ (1 << v)) for v in range(ctx.g.n))
+    return all(ctx.shed >> v & 1 or not row for v, row in enumerate(ctx.adj))
 
 
 def _memo_alpha(adj, mask: int, memo: dict) -> int:
@@ -108,14 +110,15 @@ def _memo_alpha(adj, mask: int, memo: dict) -> int:
 
 
 def _in_w_mask(adj, mask: int, k: int, memo: dict, maximal: list | None = None) -> bool:
-    """Level-k membership of the subgraph induced on ``mask``, by the
-    deletion characterization.
+    """Level-k membership of the subgraph induced on ``mask``: the level-1
+    scan, the shedding rule at k = 2, Staples' deletion recursion above.
 
     ``memo`` maps ``(mask, k)`` to membership and a bare mask to its
     independence number; one memo may serve every level and every submask of
     one adjacency.  A mask found to be a member at any level has its alpha in
-    the memo.  alpha(mask) itself is computed only once some G - v has passed
-    at level k - 1, so a mask whose first deletion fails costs no alpha.
+    the memo.  At k >= 3, alpha(mask) itself is computed only once some
+    G - v has passed at level k - 1, so a mask whose first deletion fails
+    costs no alpha.
     """
     key = (mask, k)
     member = memo.get(key)
@@ -125,20 +128,21 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict, maximal: list | None = None) 
         member, size = _wc_scan(adj, mask, maximal)
         if member:
             memo[mask] = size  # every maximal set is maximum
+    elif k == 2:
+        sets: list = []  # left empty when level 1 was memoized before
+        member = (
+            all(adj[v] & mask for v in iter_bits(mask))
+            and _in_w_mask(adj, mask, 1, memo, sets)
+            and not _unshed(adj, sets or list(_iter_maximal_independent(adj, mask)), mask)
+        )
     else:
-        alpha = None
-        member = True
-        for v in iter_bits(mask):
-            sub = mask ^ (1 << v)
-            if not _in_w_mask(adj, sub, k - 1, memo):
-                member = False
-                break
-            if alpha is None:
-                alpha = _memo_alpha(adj, mask, memo)
-            # sub passed at level k - 1, so its alpha is memoized
-            if memo[sub] != alpha:
-                member = False
-                break
+        # alpha(mask) is computed once the first G - v has passed at level
+        # k - 1, which memoized alpha(G - v)
+        member = all(
+            _in_w_mask(adj, mask ^ 1 << v, k - 1, memo)
+            and memo[mask ^ 1 << v] == _memo_alpha(adj, mask, memo)
+            for v in iter_bits(mask)
+        )
         if not mask:
             memo[mask] = 0  # no deletion ran, so nothing memoized alpha
     memo[key] = member
@@ -146,13 +150,8 @@ def _in_w_mask(adj, mask: int, k: int, memo: dict, maximal: list | None = None) 
 
 
 def is_in_w(g: Graph, k: int) -> bool:
-    """Membership at level k of the hierarchy (empty families admitted).
-
-    Decided by the deletion characterization (Staples 1979): for k >= 2, G is
-    a member iff alpha(G - v) = alpha(G) and G - v is a level-(k-1) member for
-    every vertex v; level 1 is well-coveredness.  The tests check it
-    against enumerations of disjoint families.
-    """
+    """Membership at level k of the hierarchy (empty families admitted),
+    decided as the module docstring describes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return _in_w_mask(g.adj, g.full_mask, k, {})
@@ -188,10 +187,10 @@ def shedding_vertices(g: Graph | GraphContext) -> int:
     return _context(g).shed
 
 
-def _unshed(adj, maximal) -> int:
-    """The vertices v of some M in ``maximal`` with M - v dominating N(v):
-    the vertices that are not shedding, when ``maximal`` lists every maximal
-    independent set of the graph.
+def _unshed(adj, maximal, mask: int) -> int:
+    """The vertices v of some M in ``maximal`` with M - v dominating N(v)
+    within ``mask``: the vertices that are not shedding, when ``maximal``
+    lists every maximal independent set of the subgraph on ``mask``.
 
     An independent S of G - N[v] that no neighbor of v extends dominates
     N(v), and S + v grows to such an M; conversely M - v is such an S.  An
@@ -208,7 +207,7 @@ def _unshed(adj, maximal) -> int:
             row = adj[v]
             twice |= once & row
             once |= row
-        once &= ~twice
+        once &= mask & ~twice
         for v in iter_bits(fresh):
             if not adj[v] & once:
                 marked |= 1 << v
@@ -270,38 +269,6 @@ def simplex_partition(g: Graph | GraphContext):
 # ---------------------------------------------------------------------------
 
 
-def _regularizability(g: Graph) -> tuple[bool, bool]:
-    """(quasi-regularizable, regularizable) from one walk over Ind(G).
-
-    Quasi-regularizable: |N(S)| >= |S| for every independent set S (all of
-    them; the maximal-set reduction is not valid here).  Regularizable: also
-    N(N(S)) = S whenever |N(S)| = |S|.  The walk stops at the first S with
-    |N(S)| < |S|; after a tight S with N(N(S)) != S it checks only the quasi
-    condition.
-    """
-    adj = g.adj
-    regular = True
-
-    def rec(cur: int, nb: int, avail: int) -> bool:
-        nonlocal regular
-        cs, ns = cur.bit_count(), nb.bit_count()
-        if ns < cs:
-            return False
-        if regular and ns == cs and _nbhd(adj, nb) != cur:
-            regular = False
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if not rec(cur | b, nb | adj[v], m & ~adj[v]):
-                return False
-        return True
-
-    quasi = rec(0, 0, g.full_mask)
-    return quasi, quasi and regular
-
-
 def is_quasi_regularizable(g: Graph | GraphContext) -> bool:
     """|S| <= |N(S)| for every independent set S."""
     return _context(g).regularizability[0]
@@ -361,8 +328,7 @@ class GraphContext:
     independent sets is one ``_omega_packing`` call over it or a subset.
     ``ind`` maps each independent set S, ascending, to N(S), so no reader
     computes a neighborhood of an independent set; ``class_report`` never
-    builds it, since regularizability keeps a walk of its own that stops
-    at the first failing set.
+    builds it.
     """
 
     def __init__(self, g: Graph):
@@ -375,13 +341,16 @@ class GraphContext:
     def in_w(self, k: int, mask: int | None = None) -> bool:
         """Level-k membership of the graph, or of its subgraph on ``mask``.
         A first level-1 test of the graph that succeeds keeps the maximal
-        sets its scan enumerated, which are all of them, as ``maximal``."""
+        sets its scan enumerated, which are all of them, as ``maximal``, and
+        level 2 of the graph reads ``shed`` from them."""
         if mask is None:
             mask = self.full
             if k == 1 and (mask, 1) not in self.w_memo:
                 sets: list = []
                 if _in_w_mask(self.adj, mask, 1, self.w_memo, sets):
                     self.maximal = sets
+            elif k == 2 and (mask, 2) not in self.w_memo:
+                self.w_memo[mask, 2] = self.in_w(1) and all(self.adj) and self.shed == mask
         return _in_w_mask(self.adj, mask, k, self.w_memo)
 
     def alpha_of(self, mask: int) -> int:
@@ -440,7 +409,7 @@ class GraphContext:
 
     @cached_property
     def shed(self) -> int:
-        return self.full & ~_unshed(self.adj, self.maximal)
+        return self.full & ~_unshed(self.adj, self.maximal, self.full)
 
     @cached_property
     def simp(self) -> int:
@@ -495,8 +464,23 @@ class GraphContext:
 
     @cached_property
     def regularizability(self) -> tuple[bool, bool]:
-        """(quasi-regularizable, regularizable), from one walk over Ind(G)."""
-        return _regularizability(self.g)
+        """(quasi-regularizable, regularizable) from a perfect matching of the
+        bipartite double cover (two copies of V, x joined to each y in N(x)):
+        one exists iff |N(S)| >= |S| for each independent S (Tutte), and G is
+        regularizable iff every edge of the cover lies in one (Berge, Discrete
+        Math. 23, 1978, and Birkhoff).  An edge (x, w) out of the matching
+        does iff w reaches x's partner u, where u -> w for w != u in N(mate(u)).
+        """
+        adj, n = self.adj, self.g.n
+        mate = _saturating_matching(adj)
+        if mate is None:
+            return False, False
+        arcs = [adj[mate[u]] & ~(1 << u) for u in range(n)]
+        reach = arcs
+        for k in range(n):  # Warshall's closure, one row a bitmask
+            bit, row = 1 << k, reach[k]
+            reach = [r | row if r & bit else r for r in reach]
+        return True, all(reach[w] >> u & 1 for u in range(n) for w in iter_bits(arcs[u]))
 
     @cached_property
     def locally_triangle_free(self) -> bool:

@@ -343,6 +343,8 @@ def girth(g: Graph):
     """Length of a shortest cycle, or INFINITE for a forest."""
     best = INFINITE
     n, adj = g.n, g.adj
+    if any(row & adj[v] for row in adj for v in iter_bits(row)):
+        return 3  # an edge whose ends share a neighbour
     for root in range(n):
         dist = {root: 0}
         parent = {root: -1}
@@ -362,8 +364,6 @@ def girth(g: Graph):
                     cyc = dist[v] + dist[u] + 1
                     if cyc < best:
                         best = cyc
-        if best == 3:
-            return 3
     return best
 
 

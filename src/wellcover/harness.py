@@ -509,7 +509,8 @@ def _chk_two_simplicial_w2(ctx):
 @_theorem("thm.w2-five-way", "nonempty", "no_isolated", "well_covered")
 def _chk_w2_five_way(ctx):
     """Five characterizations of level-2 membership for well-covered graphs
-    without isolated vertices."""
+    without isolated vertices; membership itself by the definition, since
+    ``ctx.w2`` is read from the shedding vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     c4 = True
     for s, ns in ctx.ind.items():
@@ -521,7 +522,7 @@ def _chk_w2_five_way(ctx):
         if not c4:
             break
     return _agree(
-        w2=ctx.w2,
+        w2=w2_equivalence_predicates(ctx)["w2_membership"],
         differential_monotone=check_wk_monotonicity(ctx, 2)[0],
         all_vertices_shedding=ctx.shed == full,
         no_isolation_after_removal=c4,

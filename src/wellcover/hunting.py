@@ -74,7 +74,7 @@ _HUNT_PREDICATES = {
     and ctx.girth <= 5
     and ctx.disjoint_mis_max(2) == 2,
     "problem.w2-alpha2": lambda g: (ctx := GraphContext(g)).connected
-    and ctx.alpha == 2 and ctx.in_w(2),
+    and ctx.in_w(2) and ctx.alpha == 2,
     "problem.alpha-plus-mu": lambda g: (ctx := GraphContext(g)).connected
     and ctx.in_w(2)
     and ctx.alpha + ctx.mu == g.n - 1,

@@ -15,15 +15,6 @@ from .graph import Graph, _check_mask, iter_bits
 # ---------------------------------------------------------------------------
 
 
-def _nbhd(adj, mask: int) -> int:
-    nb = 0
-    while mask:
-        b = mask & -mask
-        nb |= adj[b.bit_length() - 1]
-        mask ^= b
-    return nb
-
-
 def _iter_maximal_independent(adj, mask: int):
     """Yield every maximal independent set of the induced subgraph on ``mask``
     as a bitmask, in no particular order.
@@ -244,36 +235,55 @@ def differential_of_graph(g: Graph) -> int:
     return states[0]
 
 
+def _saturating_matching(rows) -> dict[int, int] | None:
+    """A matching that saturates the left vertices 0 .. len(rows) - 1, left
+    i joined to the right vertices of the bitmask ``rows[i]``, as a map from
+    each matched right vertex to its left partner; None when none exists.
+    Augmenting paths, each search taking a free right neighbour first."""
+    mate: dict[int, int] = {}
+    matched = seen = 0
+
+    def augment(a: int) -> bool:
+        nonlocal matched, seen
+        b = rows[a] & ~matched
+        if b:
+            b &= -b
+            matched |= b
+            mate[b.bit_length() - 1] = a
+            return True
+        m = rows[a] & ~seen
+        while m:
+            b = m & -m
+            seen |= b
+            w = b.bit_length() - 1
+            if augment(mate[w]):
+                mate[w] = a
+                return True
+            m &= ~seen
+        return False
+
+    for a in range(len(rows)):
+        seen = 0
+        if not augment(a):
+            return None
+    return mate
+
+
 def can_match_into(g: Graph, a_mask: int, b_mask: int) -> bool:
     """True iff a matching using only A-B edges saturates A."""
     _check_mask(g, a_mask)
     _check_mask(g, b_mask)
     if a_mask & b_mask:
         raise ValueError("the sets must be disjoint")
-    adj = g.adj
-    match_of: dict[int, int] = {}  # b vertex -> a vertex
-
-    def try_augment(a: int, seen: set[int]) -> bool:
-        for b in iter_bits(adj[a] & b_mask):
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_of or try_augment(match_of[b], seen):
-                match_of[b] = a
-                return True
-        return False
-
-    for a in iter_bits(a_mask):
-        if not try_augment(a, set()):
-            return False
-    return True
+    return _saturating_matching([g.adj[a] & b_mask for a in iter_bits(a_mask)]) is not None
 
 
 def maximum_matching_size(g: Graph) -> int:
     """Size of a maximum matching, general graphs included.
 
     Augmenting-path search with blossom contraction tracked through base
-    vertices (O(V^3)-ish, ample for catalog orders).
+    vertices (O(V^3)-ish, ample for catalog orders), each search taking a
+    free neighbour first: augmenting from any matching reaches a maximum.
     """
     n = g.n
     if n == 0:
@@ -306,6 +316,10 @@ def maximum_matching_size(g: Graph) -> int:
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
+        for to in adj[root]:  # a free neighbour first: the greedy start
+            if match[to] == -1:
+                match[to], match[root] = root, to
+                return True
         for i in range(n):
             p[i] = -1
             base[i] = i

@@ -9,7 +9,9 @@ against ``w_member_by_families``, which finds every set by subset tests.
 ``differential_by_frontier_dp`` and ``two_disjoint_completions_by_packing``
 are the library's earlier routines, kept without the cuts that replaced
 them, and ``is_shedding`` is its earlier one-vertex shedding test, which
-enumerates the maximal independent sets of G - N[v]."""
+enumerates the maximal independent sets of G - N[v].  ``in_w_by_deletions``
+is its earlier level routine, Staples' recursion down to level 1, and
+``regularizability_by_walk`` its earlier walk over Ind(G)."""
 
 from itertools import permutations, product
 
@@ -26,11 +28,20 @@ from wellcover.graph import (
     write_graph6,
 )
 from wellcover.independence import (
+    _alpha,
     _iter_maximal_independent,
-    _nbhd,
     _omega_packing,
     can_match_into,
 )
+
+
+def _nbhd(adj, mask: int) -> int:
+    """The open neighborhood of the vertex set ``mask``: the union of its
+    rows."""
+    nb = 0
+    for v in iter_bits(mask):
+        nb |= adj[v]
+    return nb
 
 
 def brute_force_canonical(g: Graph) -> str:
@@ -325,6 +336,57 @@ def two_disjoint_completions_by_packing(ctx) -> bool:
         for a in ctx.ind
         if a.bit_count() < ctx.alpha
     )
+
+
+def in_w_by_deletions(g: Graph, k: int) -> bool:
+    """Level-k membership by Staples' deletion characterization alone
+    (J. Graph Theory 3, 1979): level 1 is well-coveredness, and for k >= 2
+    G is a member iff alpha(G - v) = alpha(G) and G - v is a level-(k-1)
+    member for every vertex v; memoized on (mask, k)."""
+    adj, memo = g.adj, {}
+
+    def member(mask: int, k: int) -> tuple[bool, int]:
+        # (membership, alpha of the mask when a member)
+        if (mask, k) not in memo:
+            if k == 1:
+                memo[mask, k] = well_covered_by_enumeration(adj, mask)
+            else:
+                alpha = _alpha(adj, mask)
+                memo[mask, k] = (
+                    all(member(mask ^ 1 << v, k - 1) == (True, alpha) for v in iter_bits(mask)),
+                    alpha,
+                )
+        return memo[mask, k]
+
+    return member(g.full_mask, k)[0]
+
+
+def regularizability_by_walk(g: Graph) -> tuple[bool, bool]:
+    """(quasi-regularizable, regularizable) from one walk over Ind(G):
+    |N(S)| >= |S| for every independent S, and N(N(S)) = S whenever
+    |N(S)| = |S|.  The walk stops at the first S with |N(S)| < |S|; after a
+    tight S with N(N(S)) != S it checks only the quasi condition."""
+    adj = g.adj
+    regular = True
+
+    def rec(cur: int, nb: int, avail: int) -> bool:
+        nonlocal regular
+        cs, ns = cur.bit_count(), nb.bit_count()
+        if ns < cs:
+            return False
+        if regular and ns == cs and _nbhd(adj, nb) != cur:
+            regular = False
+        m = avail
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if not rec(cur | b, nb | adj[v], m & ~adj[v]):
+                return False
+        return True
+
+    quasi = rec(0, 0, g.full_mask)
+    return quasi, quasi and regular
 
 
 def w_member_by_families(g: Graph, k: int, nonempty: bool = False) -> bool:

@@ -223,6 +223,7 @@ class TestGirthLevels:
 class TestDiskCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WELLCOVER_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cat, "_mem_cache", {})
         level = cat._level_adj(4)
         cat._disk_store(4, level)
         loaded = list(cat._disk_rows(4))

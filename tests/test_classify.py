@@ -38,16 +38,19 @@ from wellcover.classify import (
     w_convention_disagreements,
     w_level,
 )
-from wellcover.independence import _alpha, _nbhd, _wc_scan
+from wellcover.independence import _alpha, _wc_scan
 
 from conftest import disjoint_union, graphs, relabelled_random_graphs
 from oracles import (
     _is_corona_of,
+    _nbhd,
+    in_w_by_deletions,
     is_in_w_generic,
     is_independent,
     is_shedding,
     maximum_independent_sets_by_subsets,
     regularizability_by_subsets,
+    regularizability_by_walk,
     w_member_by_families,
     wk_monotonicity_by_subsets,
 )
@@ -155,6 +158,49 @@ class TestHierarchy:
         assert w_convention_disagreements(complete(1), 3) == [2, 3]
         assert w_convention_disagreements(complete(2), 3) == [3]
         assert w_convention_disagreements(cycle(5), 3) == []
+
+
+class TestLevelTwoRule:
+    """Level 2 by the shedding rule (well-covered, no isolated vertex, every
+    vertex shedding), and the levels above it that recurse down to it,
+    against Staples' recursion run down to level 1
+    (``oracles.in_w_by_deletions``)."""
+
+    def test_catalog_to_order_eight(self):
+        # the context reads level 2 of the graph from ctx.shed; is_in_w and
+        # the deletions of levels 3 and 4 scan each mask for its maximal sets
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                want = tuple(in_w_by_deletions(g, k) for k in (2, 3, 4))
+                assert GraphContext(g).w_levels[1:] == want, g.adj
+                assert is_in_w(g, 2) == want[0], g.adj
+
+    def test_level_one_memoized_first(self, catalog_by_n):
+        # a mask whose level-1 answer is already memoized enumerates its
+        # maximal sets for the rule
+        for n in range(7):
+            for g in catalog_by_n[n]:
+                memo: dict = {}
+                _in_w_mask(g.adj, g.full_mask, 1, memo)
+                assert _in_w_mask(g.adj, g.full_mask, 2, memo) == in_w_by_deletions(g, 2)
+
+    def test_coronas_of_order_twenty_to_thirty(self):
+        # each corona, then the same graph with one edge more between two
+        # attachment blocks, or with the first block cut from its base vertex
+        rng = random.Random(29)
+        cases = [(cycle(10), 1), (path(13), 1), (path(7), 2), (cycle(8), 2),
+                 (cycle(5), 3), (complete(4), 4)]
+        for order, m in ((10, 1), (12, 1), (7, 2), (8, 2), (5, 3), (4, 4)):
+            pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+            cases.append((Graph(order, [e for e in pairs if rng.random() < 0.4]), m))
+        for base, m in cases:
+            g = corona_uniform(base, complete(m))
+            assert 20 <= g.n <= 30
+            edges = g.edges()
+            for h in (g, Graph(g.n, edges + [(base.n, g.n - 1)]),
+                      Graph(g.n, [e for e in edges if e != (0, base.n)])):
+                for k in (2, 3):
+                    assert is_in_w(h, k) == in_w_by_deletions(h, k), (h.adj, k)
 
 
 def naive_is_shedding(g, v):
@@ -417,6 +463,28 @@ class TestRegularizability:
                 want = regularizability_by_subsets(g)
                 assert ctx.regularizability == want, g
                 assert (is_quasi_regularizable(ctx), is_regularizable(g)) == want, g
+
+    def test_matching_equals_the_walk_on_catalog(self):
+        for n in range(9):
+            for g in cat.all_graphs(n):
+                assert GraphContext(g).regularizability == regularizability_by_walk(g), g.adj
+
+    def test_matching_equals_the_walk_on_random_graphs(self):
+        for g in relabelled_random_graphs(2901, 300, 10, 16):
+            assert GraphContext(g).regularizability == regularizability_by_walk(g), g.adj
+
+    def test_closed_forms_beyond_the_walk(self):
+        # cycles are regular; P_n has a perfect 2-matching iff n is even, and
+        # every positive weighting of a path longer than P2 is uneven at its
+        # second vertex; K_{p,q} has none unless p = q, and then is regular
+        for n in range(3, 41):
+            assert GraphContext(cycle(n)).regularizability == (True, True), n
+        for n in range(1, 41):
+            assert GraphContext(path(n)).regularizability == (n % 2 == 0, n == 2), n
+        for p in range(1, 13):
+            for q in range(1, 13):
+                want = (p == q, p == q)
+                assert GraphContext(complete_bipartite(p, q)).regularizability == want, (p, q)
 
 
 class TestLocallyTriangleFree:

@@ -984,7 +984,9 @@ class TestOutsideMembershipRemarks:
         # vertices, showing the bound needs level-2 membership
         from wellcover.classify import is_quasi_regularizable, is_well_covered
         from wellcover.graph import Graph, mask_of
-        from wellcover.independence import _alpha, _nbhd
+        from wellcover.independence import _alpha
+
+        from oracles import _nbhd
 
         g1 = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (3, 4), (3, 2), (2, 4)])
         assert is_quasi_regularizable(g1) and not is_well_covered(g1)

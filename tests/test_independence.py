@@ -225,6 +225,11 @@ class TestMatching:
             for g in catalog_by_n[n]:
                 assert maximum_matching_size(g) == matching_size_brute_force(g)
 
+    def test_greedy_start_is_augmented(self):
+        # the path 2 - 0 - 1 - 3: the greedy start takes the middle edge 01,
+        # and the search augments along the whole path
+        assert maximum_matching_size(Graph(4, [(0, 1), (0, 2), (1, 3)])) == 2
+
     @given(graphs(max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_matches_networkx(self, g):
