@@ -35,6 +35,11 @@ the theorem checks, reads N(S) from its table of independent sets.  ``class_repo
 ``w_level``, the simplex predicates and the theorem and hunt drivers accept
 a context in place of a graph, so one graph's invariants are computed once
 however many of them read it.
+
+The per-graph report is the dict ``report_dict`` builds in one loop over
+``REPORT_FIELDS``, the one table of its JSON keys, each with its reader on
+the context and ``k_max``; ``class_report`` returns it as a ``ClassReport``,
+a dict whose ``to_json_dict()`` is itself.
 """
 
 from __future__ import annotations
@@ -328,7 +333,10 @@ class GraphContext:
     independent sets is one ``_omega_packing`` call over it or a subset.
     ``ind`` maps each independent set S, ascending, to N(S), so no reader
     computes a neighborhood of an independent set; ``class_report`` never
-    builds it.
+    builds it.  Level membership is ``in_w``, one level at a time, so a
+    reader of level 2 leaves levels 3 and 4 undecided; ``w_levels`` decides
+    all four.  ``w2_predicates`` holds the theorem registry's seven level-2
+    predicates once one of its checks has evaluated them.
     """
 
     def __init__(self, g: Graph):
@@ -337,6 +345,8 @@ class GraphContext:
         self.full = g.full_mask
         # shared by every _in_w_mask call on this graph's vertex masks
         self.w_memo: dict = {}
+        # set by harness._w2_predicates
+        self.w2_predicates: dict[str, bool] | None = None
 
     def in_w(self, k: int, mask: int | None = None) -> bool:
         """Level-k membership of the graph, or of its subgraph on ``mask``.
@@ -375,10 +385,6 @@ class GraphContext:
         # membership at k = 1..4, each level decided on its own rather than
         # stopping at the first failure, so thm.wk-chain can see a broken nesting
         return tuple(self.in_w(k) for k in range(1, 5))
-
-    @cached_property
-    def w2(self) -> bool:
-        return self.w_levels[1]
 
     @cached_property
     def ind(self) -> dict[int, int]:
@@ -517,100 +523,52 @@ def _context(g: Graph | GraphContext) -> GraphContext:
 # ---------------------------------------------------------------------------
 
 
-# a plain class, not a dataclass, so that ``analyze`` does not import dataclasses
-class ClassReport:
-    """Full hierarchy verdict for one graph."""
-
-    def __init__(
-        self,
-        *,
-        graph_id: str,
-        n: int,
-        alpha: int,
-        mu: int,
-        delta_graph: int,
-        well_covered: bool,
-        very_well_covered: bool,
-        one_well_covered: bool,
-        quasi_regularizable: bool,
-        regularizable: bool,
-        locally_triangle_free: bool,
-        w_level: int,
-        k_max: int,
-        shed: int,
-        simp: int,
-        disjoint_mis_max: int,
-        w_convention_diffs: tuple[int, ...] = (),
-    ):
-        if one_well_covered and not well_covered:
-            raise ValueError("one_well_covered implies well_covered")
-        # the empty graph sits in every level by convention yet is not
-        # 1-well-covered (that notion needs >= 2 vertices), so it is exempt
-        if n > 0 and w_level >= 2 and not one_well_covered:
-            raise ValueError("level >= 2 implies one_well_covered")
-        self.graph_id = graph_id
-        self.n = n
-        self.alpha = alpha
-        self.mu = mu
-        self.delta_graph = delta_graph
-        self.well_covered = well_covered
-        self.very_well_covered = very_well_covered
-        self.one_well_covered = one_well_covered
-        self.quasi_regularizable = quasi_regularizable
-        self.regularizable = regularizable
-        self.locally_triangle_free = locally_triangle_free
-        self.w_level = w_level
-        self.k_max = k_max
-        self.shed = shed
-        self.simp = simp
-        self.disjoint_mis_max = disjoint_mis_max
-        self.w_convention_diffs = w_convention_diffs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "graph": self.graph_id,
-            "n": self.n,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "differential": self.delta_graph,
-            "well_covered": self.well_covered,
-            "very_well_covered": self.very_well_covered,
-            "one_well_covered": self.one_well_covered,
-            "quasi_regularizable": self.quasi_regularizable,
-            "regularizable": self.regularizable,
-            "locally_triangle_free": self.locally_triangle_free,
-            "w_level": self.w_level,
-            "k_max": self.k_max,
-            "shed": vertices_of(self.shed),
-            "simp": vertices_of(self.simp),
-            "disjoint_mis_max": self.disjoint_mis_max,
-            "w_convention_diffs": list(self.w_convention_diffs),
-        }
+# the report's JSON keys in output order, each with its reader on (context,
+# k_max); the one list of the report's fields, read in this order
+REPORT_FIELDS = {
+    "schema_version": lambda ctx, k_max: SCHEMA_VERSION,
+    "graph": lambda ctx, k_max: ctx.graph6,
+    "n": lambda ctx, k_max: ctx.g.n,
+    "alpha": lambda ctx, k_max: ctx.alpha,
+    "mu": lambda ctx, k_max: ctx.mu,
+    "differential": lambda ctx, k_max: ctx.differential,
+    "well_covered": lambda ctx, k_max: ctx.well_covered,
+    "very_well_covered": lambda ctx, k_max: ctx.very_well_covered,
+    "one_well_covered": lambda ctx, k_max: ctx.one_well_covered,
+    "quasi_regularizable": lambda ctx, k_max: is_quasi_regularizable(ctx),
+    "regularizable": lambda ctx, k_max: is_regularizable(ctx),
+    "locally_triangle_free": lambda ctx, k_max: ctx.locally_triangle_free,
+    "w_level": w_level,
+    "k_max": lambda ctx, k_max: k_max,
+    "shed": lambda ctx, k_max: vertices_of(ctx.shed),
+    "simp": lambda ctx, k_max: vertices_of(ctx.simp),
+    "disjoint_mis_max": GraphContext.disjoint_mis_max,
+    "w_convention_diffs": w_convention_disagreements,
+}
 
 
-def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
-    """Populate every hierarchy field for one graph, read from its context."""
+def report_dict(g: Graph | GraphContext, k_max: int = 3) -> dict:
+    """Every hierarchy field of one graph, read from its context: the
+    report's JSON dict, keyed and ordered as ``REPORT_FIELDS``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     ctx = _context(g)
-    wl = w_level(ctx, k_max)
-    return ClassReport(
-        graph_id=ctx.graph6,
-        n=ctx.g.n,
-        alpha=ctx.alpha,
-        mu=ctx.mu,
-        delta_graph=ctx.differential,
-        well_covered=wl >= 1,
-        very_well_covered=ctx.very_well_covered,
-        one_well_covered=ctx.one_well_covered,
-        quasi_regularizable=ctx.regularizability[0],
-        regularizable=ctx.regularizability[1],
-        locally_triangle_free=ctx.locally_triangle_free,
-        w_level=wl,
-        k_max=k_max,
-        shed=ctx.shed,
-        simp=ctx.simp,
-        disjoint_mis_max=ctx.disjoint_mis_max(k_max),
-        w_convention_diffs=tuple(w_convention_disagreements(ctx, k_max)),
-    )
+    # the level-1 test first, so that a well-covered graph keeps its scan's
+    # maximal sets as ctx.maximal before alpha reads them
+    ctx.in_w(1)
+    return {key: read(ctx, k_max) for key, read in REPORT_FIELDS.items()}
+
+
+class ClassReport(dict):
+    """Full hierarchy verdict for one graph: its JSON dict, as
+    ``report_dict`` builds it."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return self
+
+
+def class_report(g: Graph | GraphContext, k_max: int = 3) -> ClassReport:
+    """The report of one graph, read from its context."""
+    return ClassReport(report_dict(g, k_max))

@@ -201,6 +201,13 @@ def w2_equivalence_predicates(ctx: GraphContext) -> dict[str, bool]:
     }
 
 
+def _w2_predicates(ctx: GraphContext) -> dict[str, bool]:
+    # the seven predicates, evaluated once per context and held on it
+    if ctx.w2_predicates is None:
+        ctx.w2_predicates = w2_equivalence_predicates(ctx)
+    return ctx.w2_predicates
+
+
 # ---------------------------------------------------------------------------
 # hypotheses
 # ---------------------------------------------------------------------------
@@ -212,7 +219,7 @@ HYPOTHESES = {
     "nonempty": lambda ctx: ctx.g.n >= 1,
     "no_isolated": lambda ctx: all(ctx.adj),
     "well_covered": lambda ctx: ctx.well_covered,
-    "w2": lambda ctx: ctx.w2,
+    "w2": lambda ctx: ctx.in_w(2),
     "connected": lambda ctx: ctx.connected,
     "not_k1": lambda ctx: ctx.g.n != 1,
     "not_k2": lambda ctx: not ctx.is_k2(),
@@ -271,7 +278,7 @@ def _chk_alpha_stability(ctx):
 @_theorem("thm.w2-equivalence", "nonempty", "no_isolated")
 def _chk_w2_equivalence(ctx):
     """The seven characterizations of level-2 membership agree."""
-    preds = w2_equivalence_predicates(ctx)
+    preds = _w2_predicates(ctx)
     values = set(preds.values())
     if len(values) == 1:
         return True, None
@@ -501,7 +508,7 @@ def _chk_simplex_partition(ctx):
 def _chk_two_simplicial_w2(ctx):
     """Simplex-partitioned graphs with two simplicial vertices per simplex are
     level-2 members."""
-    if ctx.w2:
+    if ctx.in_w(2):
         return True, None
     return False, _wit(w2=False)
 
@@ -510,7 +517,7 @@ def _chk_two_simplicial_w2(ctx):
 def _chk_w2_five_way(ctx):
     """Five characterizations of level-2 membership for well-covered graphs
     without isolated vertices; membership itself by the definition, since
-    ``ctx.w2`` is read from the shedding vertices."""
+    the level-2 routine reads it from the shedding vertices."""
     g, adj, full = ctx.g, ctx.adj, ctx.full
     c4 = True
     for s, ns in ctx.ind.items():
@@ -522,7 +529,7 @@ def _chk_w2_five_way(ctx):
         if not c4:
             break
     return _agree(
-        w2=w2_equivalence_predicates(ctx)["w2_membership"],
+        w2=_w2_predicates(ctx)["w2_membership"],
         differential_monotone=check_wk_monotonicity(ctx, 2)[0],
         all_vertices_shedding=ctx.shed == full,
         no_isolation_after_removal=c4,
@@ -557,7 +564,7 @@ def _chk_gab_criterion(ctx):
         if not (ctx.in_w(1, mask) and ctx.alpha_of(mask) == ctx.alpha - 1):
             cond = False
             break
-    return _agree(w2=ctx.w2, edge_contraction_criterion=cond)
+    return _agree(w2=ctx.in_w(2), edge_contraction_criterion=cond)
 
 
 @_theorem("prop.locally-tf-w2", "nonempty", "w2", "locally_triangle_free")
@@ -653,7 +660,7 @@ def _chk_hartnell(ctx):
     """Connected graphs without 4-cycles in level 2 are the single edge, the
     5-cycle, or an edge corona."""
     return _agree(
-        w2=ctx.w2,
+        w2=ctx.in_w(2),
         k2_c5_or_edge_corona=ctx.is_k2() or ctx.is_cycle_of(5) or ctx.clique_corona(2),
     )
 

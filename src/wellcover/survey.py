@@ -16,7 +16,7 @@ from itertools import chain
 from json import dumps
 from json.encoder import encode_basestring_ascii
 
-from .classify import SCHEMA_VERSION, GraphContext, class_report
+from .classify import SCHEMA_VERSION, GraphContext, report_dict
 from .graph import Graph6Error
 from .harness import _verdict_text, _verdicts, verdict_json
 from .hunting import _read_graphs
@@ -93,7 +93,7 @@ def _survey_one(k_max: int, item) -> dict:
     ctx = GraphContext(g)
     return {
         "line": line_number,
-        "report": class_report(ctx, k_max).to_json_dict(),
+        "report": report_dict(ctx, k_max),
         "verdicts": _verdicts(ctx),
     }
 

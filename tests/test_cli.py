@@ -328,11 +328,27 @@ class TestGoldenOutput:
                 ("analyze", "NheCI@@G@?a?C@A?@?G", "--format", "json"),
                 "09ad99fef126490eb8d6747f59c5bb90d9ea582a3fa3d60bea00db6d369d6ad0",
             ),
+            (
+                # the fields read at k_max: w_level, disjoint_mis_max and
+                # w_convention_diffs
+                ("analyze", "NheCI@@G@?a?C@A?@?G", "--kmax", "1", "--format", "json"),
+                "80e1a4eaabaf340090a4ca13a93f2c060a3b8830898c29a2dfc11ec7565e2226",
+            ),
+            (
+                ("analyze", "NheCI@@G@?a?C@A?@?G", "--kmax", "4", "--format", "json"),
+                "6e74da8485a5866ec0d4f627f6f8b90e12be94a20bd54522556c4a324ef631d2",
+            ),
+            (
+                ("analyze", "NheCI@@G@?a?C@A?@?G", "--format", "table"),
+                "56c0ac0061acbff74164fbe171420d1d8e270637113a6d1dccd05a7aace4e7e9",
+            ),
         ],
         ids=[
             "verify-jobs-1", "verify-jobs-2", "verify-grids", "hunt-no-shedding",
             "hunt-wk-concat", "survey-json", "verify-all-to-six", "verify-table",
             "analyze-c22", "analyze-k12-13", "analyze-c5-corona-k2",
+            "analyze-c5-corona-k2-kmax-1", "analyze-c5-corona-k2-kmax-4",
+            "analyze-c5-corona-k2-table",
         ],
     )
     def test_zeroed_output_digest(self, capsys, monkeypatch, argv, digest):

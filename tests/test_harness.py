@@ -548,12 +548,13 @@ class TestSharedContext:
                 lambda adj, mask: calls.append(mask) or enumerate_maximal(adj, mask),
             )
         rep = class_report(cycle(22), 3)
-        assert rep.disjoint_mis_max == 2 and rep.alpha == 11 and rep.shed == 0
+        assert rep["disjoint_mis_max"] == 2 and rep["alpha"] == 11 and rep["shed"] == []
         assert calls == [cycle(22).full_mask]
         calls.clear()
         g = corona_uniform(cycle(5), complete(2))
         rep = class_report(g, 3)
-        assert rep.w_level == 2 and rep.alpha == 5 and rep.shed == g.full_mask
+        assert rep["w_level"] == 2 and rep["alpha"] == 5
+        assert rep["shed"] == vertices_of(g.full_mask)
         assert calls.count(g.full_mask) == 1
 
     def test_suite_computes_girth_once_per_graph(self, monkeypatch, connected_by_n):
@@ -587,6 +588,27 @@ class TestSharedContext:
             calls.clear()
             run_suite(g)
             assert len(calls) <= 1, write_graph6(g)
+
+    def test_w2_hypothesis_decides_level_two_alone(self):
+        # a theorem gated on w2 leaves levels 3 and 4 undecided
+        ctx = GraphContext(corona_uniform(cycle(3), complete(2)))
+        (verdict,) = run_suite(ctx, ["cor.w2-no-leaf"])
+        assert verdict.applicable and verdict.holds
+        assert (ctx.full, 3) not in ctx.w_memo
+
+    def test_suite_evaluates_the_level_two_predicates_once(self, monkeypatch):
+        # thm.w2-equivalence and thm.w2-five-way share one evaluation
+        calls = []
+        predicates = harness.w2_equivalence_predicates
+        monkeypatch.setattr(
+            harness,
+            "w2_equivalence_predicates",
+            lambda ctx: calls.append(ctx) or predicates(ctx),
+        )
+        verdicts = run_suite(cycle(5))
+        applicable = {v.theorem_id for v in verdicts if v.applicable}
+        assert {"thm.w2-equivalence", "thm.w2-five-way"} <= applicable
+        assert len(calls) == 1
 
 
 class TestW2DefinitionPredicate:
